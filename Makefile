@@ -51,7 +51,7 @@ bench-smoke:
 # allocs/op). Redirect to refresh the committed baseline:
 #
 #	make bench-json > BENCH_PR10.json
-BENCH_REGEX := BenchmarkRSEncode4K|BenchmarkRSDecode|BenchmarkHammingEncode4K|BenchmarkFlashProgramRead|BenchmarkFTLWrite|BenchmarkFTLRead|BenchmarkFTLRebuild|BenchmarkDeviceWrite|BenchmarkDeviceRead|BenchmarkDeviceReadSerial|BenchmarkGCRelocateBatch|BenchmarkAuditPass|BenchmarkZNSAppend|BenchmarkRecorder
+BENCH_REGEX := BenchmarkRSEncode4K|BenchmarkRSDecode|BenchmarkRSEncode4KDense|BenchmarkRSDecodeClean4KDense|BenchmarkRSDecodeCorrupt4KDense|BenchmarkHammingEncode4K|BenchmarkFlashProgramRead|BenchmarkFTLWrite|BenchmarkFTLRead|BenchmarkFTLRebuild|BenchmarkDeviceWrite|BenchmarkDeviceRead|BenchmarkDeviceReadSerial|BenchmarkGCRelocateBatch|BenchmarkAuditPass|BenchmarkZNSAppend|BenchmarkRecorder
 
 bench-json:
 	@go build -o /tmp/benchjson ./cmd/benchjson

@@ -273,6 +273,90 @@ func BenchmarkRSDecodeCorrupt4K(b *testing.B) {
 	}
 }
 
+// densePages returns the dense 4 KiB payloads the *Dense ECC benchmarks
+// run on, in a fixed order: seeded random bytes, and the first page of
+// an encoded image from the media codec. Unlike the zero pages above
+// (the sparse syndrome path), every codeword of these takes the dense
+// remainder kernel.
+func densePages(b *testing.B) []struct {
+	name string
+	data []byte
+} {
+	b.Helper()
+	rnd := make([]byte, 4096)
+	rng := sim.NewRNG(1)
+	for i := range rnd {
+		rnd[i] = byte(rng.Uint64())
+	}
+	img, err := media.Synthetic(sim.NewRNG(1), 96, 96)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := media.EncodeImage(img, 80)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(enc) < 4096 {
+		b.Fatalf("encoded image is %d bytes, want at least a page", len(enc))
+	}
+	return []struct {
+		name string
+		data []byte
+	}{{"rng", rnd}, {"media", enc[:4096]}}
+}
+
+func BenchmarkRSEncode4KDense(b *testing.B) {
+	s := ecc.MustRSScheme(223, 32)
+	for _, p := range densePages(b) {
+		b.Run(p.name, func(b *testing.B) {
+			b.SetBytes(4096)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Encode(p.data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkRSDecodeClean4KDense(b *testing.B) {
+	s := ecc.MustRSScheme(223, 32)
+	for _, p := range densePages(b) {
+		cw, _ := s.Encode(p.data)
+		b.Run(p.name, func(b *testing.B) {
+			b.SetBytes(4096)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.Decode(cw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkRSDecodeCorrupt4KDense(b *testing.B) {
+	s := ecc.MustRSScheme(223, 32)
+	for _, p := range densePages(b) {
+		clean, _ := s.Encode(p.data)
+		b.Run(p.name, func(b *testing.B) {
+			rng := sim.NewRNG(1)
+			b.SetBytes(4096)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cw := append([]byte(nil), clean...)
+				for k := 0; k < 20; k++ {
+					cw[rng.Intn(len(cw))] ^= byte(1 + rng.Intn(255))
+				}
+				if _, _, err := s.Decode(cw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkHammingEncode4K(b *testing.B) {
 	data := make([]byte, 4096)
 	b.SetBytes(4096)

@@ -11,6 +11,7 @@
 //	sossim -sim -profile tlc     ... on the TLC baseline
 //	sossim -sim -metrics         emit Prometheus metrics instead of the report
 //	sossim -sim -trace t.jsonl   dump the telemetry event trace as JSON lines
+//	sossim -sim -audit -cpuprofile cpu.pprof   profile the run (go tool pprof)
 //	sossim -serve -addr :8080    host the multi-device fleet daemon
 //
 // Output is bit-identical for every -parallel value: per-trial seeds are
@@ -20,11 +21,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"sos"
 	"sos/internal/core"
@@ -45,6 +48,7 @@ func main() {
 		par     = flag.Int("parallel", 1, "worker goroutines for experiments and their trials (0 = all cores)")
 		doServe = flag.Bool("serve", false, "host the fleet daemon (POST /v1/fleet, GET /metrics, ...)")
 		addr    = flag.String("addr", "127.0.0.1:8080", "with -serve: listen address (use :0 for an ephemeral port)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the -exp/-list/-sim run to this file")
 	)
 	flag.TextVar(&opts.Profile, "profile", sos.ProfileSOS, "device profile for -sim: sos|tlc|qlc")
 	flag.TextVar(&opts.Backend, "backend", sos.BackendFTL, "translation layer for -sim: ftl|zns")
@@ -69,36 +73,75 @@ func main() {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
+	var run func() error
 	switch {
 	case *doServe:
+		if *cpuProf != "" {
+			fail(errors.New("-cpuprofile does not apply to -serve, which runs until killed"))
+		}
 		// -parallel is the daemon's worker bound too; 0 keeps fleetd's
 		// all-cores default.
 		srv := fleetd.New(fleetd.Config{Workers: *par})
 		fail(serve(*addr, srv.Handler()))
+		return
 	case *list:
-		for _, id := range experiments.IDs() {
-			title, _ := experiments.Title(id)
-			fmt.Printf("%-4s %s\n", id, title)
+		run = func() error {
+			for _, id := range experiments.IDs() {
+				title, _ := experiments.Title(id)
+				fmt.Printf("%-4s %s\n", id, title)
+			}
+			return nil
 		}
 	case *exp == "all":
-		rs, err := experiments.RunAllParallel(*quick, *par)
-		for _, r := range rs {
-			if r != nil {
-				fmt.Println(r)
+		run = func() error {
+			rs, err := experiments.RunAllParallel(*quick, *par)
+			for _, r := range rs {
+				if r != nil {
+					fmt.Println(r)
+				}
 			}
+			return err
 		}
-		fail(err)
 	case *exp != "":
-		r, err := experiments.Run(*exp, *quick)
-		fail(err)
-		fmt.Println(r)
+		run = func() error {
+			r, err := experiments.Run(*exp, *quick)
+			if err != nil {
+				return err
+			}
+			fmt.Println(r)
+			return nil
+		}
 	case *runSim:
 		opts.Out = os.Stdout
-		fail(simulate(opts))
+		run = func() error { return simulate(opts) }
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+	fail(withCPUProfile(*cpuProf, run))
+}
+
+// withCPUProfile runs fn under the runtime CPU profiler, writing the
+// profile to path (empty: no profiling). The profiler only samples host
+// stacks, so fn's output is byte-identical with or without it.
+func withCPUProfile(path string, fn func() error) error {
+	if path == "" {
+		return fn()
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	runErr := fn()
+	pprof.StopCPUProfile()
+	if err := f.Close(); runErr == nil {
+		runErr = err
+	}
+	return runErr
 }
 
 func fail(err error) {

@@ -46,6 +46,28 @@ func TestSimulateReplayMissingFile(t *testing.T) {
 	}
 }
 
+// TestCPUProfileKeepsOutput: an audited run prints the same bytes with
+// -cpuprofile set, and the profile lands in its file, not on stdout.
+func TestCPUProfileKeepsOutput(t *testing.T) {
+	opts := simOpts{Days: 10, Seed: 1, Audit: true}
+	var plain, profiled bytes.Buffer
+	opts.Out = &plain
+	if err := simulate(opts); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	opts.Out = &profiled
+	if err := withCPUProfile(path, func() error { return simulate(opts) }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Fatalf("output differs under -cpuprofile:\n--- plain\n%s--- profiled\n%s", plain.Bytes(), profiled.Bytes())
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+		t.Fatalf("no profile written: %v", err)
+	}
+}
+
 // TestSimulateMetrics: -metrics mode emits only a parseable Prometheus
 // exposition covering all three telemetry layers.
 func TestSimulateMetrics(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // ErrUncorrectable reports that a codeword held more errors than the code
@@ -12,38 +11,65 @@ import (
 // hard failure (SYS data) or tolerated degradation (SPARE data).
 var ErrUncorrectable = errors.New("ecc: uncorrectable codeword")
 
+// maxParity bounds the parity count: the remainder kernel keeps the
+// parity register in four 64-bit words. Every configured code fits
+// (rs-light 16, rs-strong 32).
+const maxParity = 32
+
+// parityReg is the parity register of the remainder kernel: parity byte
+// j sits in word j/8, packed big-endian (byte 0 is the most significant
+// byte of word 0). Bytes at or past nparity are always zero.
+type parityReg [4]uint64
+
+// packParity loads parity bytes (at most maxParity) into a register.
+func packParity(p []byte) (w parityReg) {
+	for j, b := range p {
+		w[j>>3] |= uint64(b) << (56 - 8*(j&7))
+	}
+	return w
+}
+
+// unpackParity stores the first len(dst) register bytes into dst.
+func unpackParity(dst []byte, w *parityReg) {
+	j := 0
+	for ; len(dst)-j >= 8; j += 8 {
+		binary.BigEndian.PutUint64(dst[j:], w[j>>3])
+	}
+	for ; j < len(dst); j++ {
+		dst[j] = byte(w[j>>3] >> (56 - 8*(j&7)))
+	}
+}
+
 // RS is a systematic Reed-Solomon code over GF(2^8) with nparity check
 // bytes per codeword, correcting up to nparity/2 byte errors. Codewords
 // are data||parity with len(data)+nparity <= 255.
 type RS struct {
 	nparity int
-	gen     []byte // generator polynomial, highest-degree first
-	// encRows[f] holds f*gen[1..nparity], the row XORed into the working
-	// buffer when synthetic division eliminates a coefficient with
-	// feedback f. Row 0 is never used (zero feedback is skipped).
-	encRows [256][]byte
+	// encRows[f] holds f*gen[1..nparity] (gen is the monic generator,
+	// highest-degree first) packed like a parityReg: the row XORed into
+	// the register when a division step's feedback is f. Row 0 is zero.
+	encRows [256]parityReg
 }
 
 // NewRS returns a Reed-Solomon coder with the given number of parity
-// bytes (must be in [2, 254] and even for a sensible correction budget;
-// odd values are allowed and floor the budget).
+// bytes, in [1, 32] (even for a sensible correction budget; odd values
+// are allowed and floor the budget).
 func NewRS(nparity int) (*RS, error) {
-	if nparity < 1 || nparity > 254 {
-		return nil, fmt.Errorf("ecc: invalid parity count %d", nparity)
+	if nparity < 1 || nparity > maxParity {
+		return nil, fmt.Errorf("ecc: parity count %d out of range (1..%d)", nparity, maxParity)
 	}
 	gen := []byte{1}
 	for i := 0; i < nparity; i++ {
 		gen = polyMul(gen, []byte{1, gfExp[i]})
 	}
-	r := &RS{nparity: nparity, gen: gen}
-	rows := make([]byte, 256*nparity)
+	r := &RS{nparity: nparity}
+	var row [maxParity]byte
 	for f := 1; f < 256; f++ {
-		row := rows[f*nparity : (f+1)*nparity]
 		mul := &gfMulTab[f]
 		for j := 0; j < nparity; j++ {
 			row[j] = mul[gen[j+1]]
 		}
-		r.encRows[f] = row
+		r.encRows[f] = packParity(row[:nparity])
 	}
 	return r, nil
 }
@@ -72,64 +98,37 @@ func (r *RS) Encode(data []byte) ([]byte, error) {
 // must be exactly len(data)+ParityBytes() bytes. len(data) must be in
 // (0, MaxData] — callers validate. It allocates nothing.
 func (r *RS) encodeInto(cw, data []byte) {
-	np := r.nparity
 	copy(cw, data)
-	tail := cw[len(data):]
-	for i := range tail {
-		tail[i] = 0
-	}
-	// Systematic encoding: parity is the remainder of data * x^nparity
-	// divided by the generator. Synthetic long division in place:
-	// eliminating coefficient cw[i] (feedback f) XORs f*gen[1..np] into
-	// cw[i+1..i+np]; the last np bytes end up holding the remainder.
-	// No per-byte register shift, no per-byte gfMul — one precomputed
-	// row XOR per nonzero feedback.
-	//
-	// Zero runs are inert (feedback 0 eliminates nothing), so — like
-	// syndromes skipping leading zeros — the scan jumps over them a
-	// word at a time wherever the working buffer still mirrors the
-	// data. dirtyHi tracks how far feedback XORs have scrambled cw:
-	// below it cw may differ from data and must be read byte-wise;
-	// at or beyond it cw is untouched since the initial copy. Sparse
-	// pages (zero-dominated media, freshly trimmed space) encode in
-	// O(nonzero bytes) instead of O(page).
-	n := len(data)
-	dirtyHi := 0
+	rem := r.remainder(data)
+	unpackParity(cw[len(data):], &rem)
+}
+
+// remainder returns data·x^nparity mod g, the generator, as a packed
+// register. It is the one dense kernel behind both directions: encode
+// stores it as the parity, and decode compares it with the stored
+// parity. Each step of the shift-register division reads one feedback
+// byte (the register's top byte XOR the next data byte), shifts the
+// register one byte and XORs the feedback's packed row: one table load
+// per byte, no per-byte gfMul. A leading zero run leaves the register
+// at zero (zero feedback eliminates nothing), so it is skipped a word
+// at a time and a zero page divides for the cost of the scan.
+func (r *RS) remainder(data []byte) parityReg {
 	i := 0
-	for i < n {
-		if i >= dirtyHi {
-			for n-i >= 8 {
-				w := binary.LittleEndian.Uint64(cw[i:])
-				if w != 0 {
-					i += bits.TrailingZeros64(w) >> 3
-					break
-				}
-				i += 8
-			}
-			if i >= n {
-				break
-			}
-		}
-		f := cw[i]
-		if f != 0 {
-			row := r.encRows[f]
-			dst := cw[i+1:][:np]
-			for j := 0; j < np; j++ {
-				dst[j] ^= row[j]
-			}
-			if i+1+np > dirtyHi {
-				dirtyHi = i + 1 + np
-			}
-		}
+	for len(data)-i >= 8 && binary.LittleEndian.Uint64(data[i:]) == 0 {
+		i += 8
+	}
+	for i < len(data) && data[i] == 0 {
 		i++
 	}
-	// The division scrambled the data prefix up to dirtyHi; restore it.
-	// The remainder (parity tail) is beyond len(data) and untouched. A
-	// clean buffer (all-zero data) skips the copy entirely.
-	if dirtyHi > n {
-		dirtyHi = n
+	var w0, w1, w2, w3 uint64
+	for _, d := range data[i:] {
+		row := &r.encRows[byte(w0>>56)^d]
+		w0 = (w0<<8 | w1>>56) ^ row[0]
+		w1 = (w1<<8 | w2>>56) ^ row[1]
+		w2 = (w2<<8 | w3>>56) ^ row[2]
+		w3 = w3<<8 ^ row[3]
 	}
-	copy(cw[:dirtyHi], data)
+	return parityReg{w0, w1, w2, w3}
 }
 
 // syndromes computes the nparity syndromes of the codeword; all-zero
@@ -140,17 +139,16 @@ func (r *RS) syndromes(cw []byte) ([]byte, bool) {
 }
 
 // sparseSyndromeMax bounds the nonzero-coefficient count the sparse
-// syndrome path handles; denser codewords fall back to Horner's rule.
-// Crossover: sparse spends ~4 cheap ops per (nonzero byte, root) pair
-// vs Horner's one dependent table load per (byte, root) pair, so sparse
-// stays comfortably ahead while nonzero bytes < len/4 for both
-// configured codes (rs-light 16, rs-strong 32).
-const sparseSyndromeMax = 48
+// syndrome path handles; denser codewords go to the remainder kernel.
+// Sparse costs a few cheap ops per (nonzero byte, root) pair, the kernel
+// one dependent table load per codeword byte. Measured on RS(255,223)
+// the two cross near 12 nonzero bytes, and on RS(255,239) near 24.
+const sparseSyndromeMax = 16
 
 // syndromesInto computes the syndromes into caller-owned scratch (len
-// exactly nparity) and reports whether they are all zero. It allocates
-// nothing — the batched read path calls it with stack scratch so a
-// clean codeword syndrome-checks for free.
+// exactly nparity, and len(cw) > nparity) and reports whether they are
+// all zero. It allocates nothing — the batched read path calls it with
+// stack scratch so a clean codeword syndrome-checks for free.
 func (r *RS) syndromesInto(syn, cw []byte) bool {
 	np := r.nparity
 	// A syndrome is just the sum of its nonzero terms: S_i = Σ_j
@@ -158,9 +156,9 @@ func (r *RS) syndromesInto(syn, cw []byte) bool {
 	// slices carrying a few raw bit flips, the dominant shape on the
 	// simulated media — have a handful of nonzero coefficients, so
 	// collect their positions (a word at a time through the zero runs)
-	// and evaluate only those terms: O(nonzero·nparity) instead of
-	// O(len·nparity). Codewords that prove dense mid-scan bail to the
-	// Horner evaluation below.
+	// and evaluate only those terms: O(nonzero·nparity) instead of a
+	// division over the whole codeword. Codewords that prove dense
+	// mid-scan bail to the remainder kernel below.
 	var pos [sparseSyndromeMax]uint8
 	nz := 0
 	dense := false
@@ -228,31 +226,38 @@ func (r *RS) syndromesInto(syn, cw []byte) bool {
 		}
 		return true
 	}
-	// Dense codeword: Horner's rule per root, skipping the leading zero
-	// run once (zero coefficients are inert — the accumulator stays 0
-	// until the first nonzero byte, which the scan above already found).
-	first := int(pos[0])
-	clean := true
+	// Dense codeword: divide instead of evaluating. With c = D·x^np + P
+	// (data D, stored parity P), c mod g = (D·x^np mod g) + P: the
+	// kernel's remainder XOR the stored parity. The codeword is clean
+	// exactly when that is zero. Otherwise, since g(α^i) = 0 at every
+	// root, S_i = c(α^i) = r(α^i) for the np-byte r = c mod g, so a dirty
+	// codeword evaluates np bytes per root, not the whole codeword.
+	n := len(cw) - np
+	rem := r.remainder(cw[:n])
+	par := packParity(cw[n:])
+	for k := range rem {
+		rem[k] ^= par[k]
+	}
+	if rem == (parityReg{}) {
+		clear(syn)
+		return true
+	}
+	var rb [maxParity]byte
+	unpackParity(rb[:np], &rem)
 	for i := 0; i < np; i++ {
 		// A single row of the product table: for root x, s = s*x ^ c
-		// becomes one load per codeword byte.
+		// becomes one load per remainder byte.
 		row := &gfMulTab[gfExp[i]]
-		s := cw[first]
-		for _, c := range cw[first+1:] {
+		var s byte
+		for _, c := range rb[:np] {
 			s = row[s] ^ c
 		}
 		syn[i] = s
-		if s != 0 {
-			clean = false
-		}
 	}
-	return clean
+	// A nonzero r of degree < np cannot vanish at all np roots of g, so
+	// at least one syndrome is nonzero.
+	return false
 }
-
-// maxStackParity bounds the stack scratch DecodeInPlace uses for its
-// syndrome check; every configured scheme (rs-light 16, rs-strong 32)
-// fits well inside it.
-const maxStackParity = 64
 
 // DecodeInPlace is Decode's allocation-free fast path: it syndrome-
 // checks the codeword with stack scratch and, when clean, returns the
@@ -263,11 +268,9 @@ func (r *RS) DecodeInPlace(cw []byte) (data []byte, corrected int, err error) {
 	if len(cw) <= r.nparity || len(cw) > 255 {
 		return nil, 0, fmt.Errorf("ecc: codeword length %d out of range", len(cw))
 	}
-	if r.nparity <= maxStackParity {
-		var scratch [maxStackParity]byte
-		if r.syndromesInto(scratch[:r.nparity], cw) {
-			return cw[:len(cw)-r.nparity], 0, nil
-		}
+	var scratch [maxParity]byte
+	if r.syndromesInto(scratch[:r.nparity], cw) {
+		return cw[:len(cw)-r.nparity], 0, nil
 	}
 	return r.Decode(cw)
 }
@@ -325,12 +328,17 @@ func (r *RS) Decode(cw []byte) (data []byte, corrected int, err error) {
 	// Chien search: roots of sigma give error positions.
 	n := len(cw)
 	var errPos []int
+	// Position i (0 = first byte) corresponds to locator alpha^(n-1-i),
+	// so it is a root when sigma(alpha^-(n-1-i)) = 0. That exponent is
+	// e0+i with e0 = (256-n) mod 255; e0+i stays below 510, inside the
+	// doubled gfExp table.
+	e0 := (256 - n) % 255
 	for i := 0; i < n; i++ {
-		// Position i (0 = first byte) corresponds to locator alpha^(n-1-i).
-		xinv := gfExp[(255-(n-1-i))%255] // alpha^-(n-1-i)
+		// Horner's rule, one product-table load per coefficient.
+		row := &gfMulTab[gfExp[e0+i]]
 		var v byte
 		for j := len(sigma) - 1; j >= 0; j-- {
-			v = gfMul(v, xinv) ^ sigma[j]
+			v = row[v] ^ sigma[j]
 		}
 		if v == 0 {
 			errPos = append(errPos, i)

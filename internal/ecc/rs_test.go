@@ -3,6 +3,7 @@ package ecc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +195,9 @@ func TestRSGeometryErrors(t *testing.T) {
 	if _, err := NewRS(255); err == nil {
 		t.Error("NewRS(255) accepted")
 	}
+	if _, err := NewRS(33); err == nil {
+		t.Error("NewRS(33) accepted: the remainder kernel holds at most 32 parity bytes")
+	}
 	rs, _ := NewRS(16)
 	if _, err := rs.Encode(nil); err == nil {
 		t.Error("empty encode accepted")
@@ -221,19 +225,52 @@ func TestRSShortCodeword(t *testing.T) {
 	}
 }
 
+// checkSyndromes asserts that syndromesInto agrees with the direct
+// polynomial evaluation S_i = cw(α^i) and returns whether cw is clean.
+func checkSyndromes(t *testing.T, rs *RS, cw []byte, label string) bool {
+	t.Helper()
+	np := rs.ParityBytes()
+	got := make([]byte, np)
+	clean := rs.syndromesInto(got, cw)
+	wantClean := true
+	for i := 0; i < np; i++ {
+		ref := polyEval(cw, gfExp[i])
+		if ref != 0 {
+			wantClean = false
+		}
+		if got[i] != ref {
+			t.Errorf("%s: syndrome %d = %#x, want %#x", label, i, got[i], ref)
+			break
+		}
+	}
+	if clean != wantClean {
+		t.Errorf("%s: clean=%v, want %v", label, clean, wantClean)
+	}
+	return wantClean
+}
+
+// isCodeword reports whether cw vanishes at every root of the generator.
+func isCodeword(rs *RS, cw []byte) bool {
+	for i := 0; i < rs.ParityBytes(); i++ {
+		if polyEval(cw, gfExp[i]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestSyndromesSparseMatchesReference(t *testing.T) {
 	// syndromesInto picks a sparse evaluation for nearly-zero codewords
-	// and Horner's rule for dense ones; both must agree with the direct
-	// polynomial evaluation S_i = cw(α^i) at every density, especially
-	// around the sparseSyndromeMax crossover.
+	// and the remainder kernel for dense ones; both must agree with the
+	// direct polynomial evaluation S_i = cw(α^i) at every density,
+	// especially around the sparseSyndromeMax crossover, on random words
+	// and on real codewords, clean or carrying errors.
 	rng := sim.NewRNG(11)
-	for _, np := range []int{16, 32} {
+	for _, np := range []int{4, 8, 16, 32} {
 		rs, err := NewRS(np)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := make([]byte, np)
-		got := make([]byte, np)
 		for _, nz := range []int{0, 1, 2, 3, sparseSyndromeMax - 1, sparseSyndromeMax, sparseSyndromeMax + 1, 100, 255} {
 			cw := make([]byte, 255)
 			for placed := 0; placed < nz; {
@@ -244,22 +281,94 @@ func TestSyndromesSparseMatchesReference(t *testing.T) {
 				cw[p] = byte(1 + rng.Intn(255))
 				placed++
 			}
-			wantClean := true
-			for i := 0; i < np; i++ {
-				ref[i] = polyEval(cw, gfExp[i])
-				if ref[i] != 0 {
-					wantClean = false
+			checkSyndromes(t, rs, cw, fmt.Sprintf("np=%d random nz=%d", np, nz))
+		}
+
+		budget := rs.CorrectableErrors()
+		decoders := []struct {
+			name string
+			fn   func([]byte) ([]byte, int, error)
+		}{{"Decode", rs.Decode}, {"DecodeInPlace", rs.DecodeInPlace}}
+		for _, n := range []int{1, 3, 17, rs.MaxData() / 2, rs.MaxData()} {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(rng.Uint64())
+			}
+			clean, err := rs.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for nerr := 0; nerr <= budget+2; nerr++ {
+				label := fmt.Sprintf("np=%d len=%d nerr=%d", np, n, nerr)
+				cw := append([]byte(nil), clean...)
+				positions := map[int]bool{}
+				for len(positions) < nerr {
+					positions[rng.Intn(len(cw))] = true
+				}
+				for p := range positions {
+					cw[p] ^= byte(1 + rng.Intn(255))
+				}
+				if checkSyndromes(t, rs, cw, label) != (nerr == 0) {
+					t.Fatalf("%s: clean verdict disagrees with the injected errors", label)
+				}
+				for _, dec := range decoders {
+					work := append([]byte(nil), cw...)
+					got, corrected, err := dec.fn(work)
+					switch {
+					case nerr <= budget:
+						if err != nil || corrected != nerr || !bytes.Equal(got, data) || !bytes.Equal(work, clean) {
+							t.Errorf("%s %s: corrected=%d err=%v, data restored=%v", label, dec.name, corrected, err, bytes.Equal(got, data))
+						}
+					case err == nil:
+						// A miscorrection beyond t must land on a valid
+						// codeword, and never pass as clean.
+						if corrected == 0 || !isCodeword(rs, work) {
+							t.Errorf("%s %s: corrected=%d, codeword valid=%v", label, dec.name, corrected, isCodeword(rs, work))
+						}
+					case !errors.Is(err, ErrUncorrectable):
+						t.Errorf("%s %s: err=%v, want ErrUncorrectable", label, dec.name, err)
+					}
 				}
 			}
-			clean := rs.syndromesInto(got, cw)
-			if clean != wantClean {
-				t.Errorf("np=%d nz=%d: clean=%v, want %v", np, nz, clean, wantClean)
+		}
+	}
+}
+
+func TestRSEncodeRandomLengths(t *testing.T) {
+	// Every encoded codeword keeps its data as the prefix and vanishes at
+	// every generator root, at every length the code accepts — with and
+	// without a leading zero run (which the kernel skips a word at a
+	// time).
+	rng := sim.NewRNG(12)
+	for _, np := range []int{4, 8, 16, 32} {
+		rs, err := NewRS(np)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 200; trial++ {
+			n := 1 + rng.Intn(rs.MaxData())
+			switch trial {
+			case 0:
+				n = 1
+			case 1:
+				n = rs.MaxData()
 			}
-			for i := 0; i < np; i++ {
-				if got[i] != ref[i] {
-					t.Errorf("np=%d nz=%d: syndrome %d = %#x, want %#x", np, nz, i, got[i], ref[i])
-					break
-				}
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(rng.Uint64())
+			}
+			if trial%2 == 1 {
+				clear(data[:rng.Intn(n+1)])
+			}
+			cw, err := rs.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cw) != n+np || !bytes.Equal(cw[:n], data) {
+				t.Fatalf("np=%d len=%d: data prefix not preserved", np, n)
+			}
+			if !isCodeword(rs, cw) {
+				t.Fatalf("np=%d len=%d: encoded word is not a codeword", np, n)
 			}
 		}
 	}

@@ -30,6 +30,7 @@ package fleetd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -117,6 +118,29 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps a request body. The largest legitimate one, a fleet
+// config with a long age mix, is a few KiB.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes the JSON request body into v, rejecting unknown
+// fields (400) and bodies over maxBodyBytes (413). On failure it has
+// answered the request and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		httpError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, maxBodyBytes)
+	default:
+		httpError(w, http.StatusBadRequest, "bad %s: %v", what, err)
+	}
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -141,10 +165,7 @@ type CreateResponse struct {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg sos.FleetConfig
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		httpError(w, http.StatusBadRequest, "bad fleet config: %v", err)
+	if !decodeBody(w, r, &cfg, "fleet config") {
 		return
 	}
 	if cfg.Shards > s.cfg.MaxShards {
@@ -200,10 +221,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AdvanceRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad advance request: %v", err)
+	if !decodeBody(w, r, &req, "advance request") {
 		return
 	}
 	if req.Days < 1 {

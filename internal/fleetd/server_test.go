@@ -168,6 +168,37 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+func TestOversizedBodyRejected(t *testing.T) {
+	ts := newTestServer(t, Config{Workers: 2})
+	id := createFleet(t, ts, sos.FleetConfig{Shards: 2})
+	// A syntactically valid body that runs past the cap: the decoder must
+	// stop at maxBodyBytes rather than read (or act on) the rest.
+	huge := `{"shards": 2, "age_mix_days": [0` + strings.Repeat(",0", maxBodyBytes) + `]}`
+	for _, path := range []string{"/v1/fleet", "/v1/fleet/" + id + "/advance"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status %d, want 413 (%s)", path, resp.StatusCode, body)
+		}
+		var msg map[string]string
+		if err := json.Unmarshal(body, &msg); err != nil || msg["error"] == "" {
+			t.Errorf("POST %s: error body %q not a JSON error", path, body)
+		}
+	}
+	_, body := do(t, "GET", ts.URL+"/v1/fleet", nil)
+	var list []ListEntry
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 1 || list[0].Advances != 0 {
+		t.Errorf("oversized bodies changed daemon state: %+v", list)
+	}
+}
+
 func TestStreamingAdvance(t *testing.T) {
 	ts := newTestServer(t, Config{Workers: 4})
 	id := createFleet(t, ts, sos.FleetConfig{Shards: 10, Seed: 5, BatchShards: 3})
