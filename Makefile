@@ -3,7 +3,7 @@
 # goroutines; the torture tier replays the crash matrix under the race
 # detector. CI (or a pre-merge hand-run) should execute all three.
 
-.PHONY: verify verify-race verify-all torture bench-parallel bench-smoke bench-json bench-gate determinism fmt obs audit serve-smoke placement
+.PHONY: verify verify-race verify-all torture bench-parallel bench-smoke bench-json bench-gate determinism fmt obs audit serve-smoke placement sosbench-test
 
 # Formatting gate: fail if any file needs gofmt.
 fmt:
@@ -35,7 +35,13 @@ torture:
 	go test -race ./internal/zns/ -run 'TestBackendRecover|TestCrash'
 	go test -race -parallel 8 ./internal/torture/
 
-verify-all: verify verify-race torture bench-smoke bench-gate audit serve-smoke placement
+verify-all: verify verify-race torture bench-smoke bench-gate audit serve-smoke placement sosbench-test
+
+# End-to-end benchmark harness tests. sosbench/ is a module of its own
+# that compiles against sos/internal/{device,ecc,fs,core,...}, so an
+# internal API change must keep it building and its checks passing.
+sosbench-test:
+	cd sosbench && go test ./...
 
 # Serial vs parallel RunAll wall-clock (quick fidelity under -short).
 bench-parallel:

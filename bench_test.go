@@ -13,6 +13,7 @@ package sos_test
 import (
 	"errors"
 	"runtime"
+	"sos/internal/storage"
 	"strconv"
 	"testing"
 
@@ -453,7 +454,7 @@ func BenchmarkFTLWrite(b *testing.B) {
 	// cold-device writes (which skip GC and look artificially cheap).
 	fill := func(f *ftl.FTL) {
 		for lpa := int64(0); lpa < 4000; lpa++ {
-			if err := f.Write(lpa, nil, 4096, 0); err != nil {
+			if err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 4096}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -464,7 +465,7 @@ func BenchmarkFTLWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := f.Write(int64(i%4000), nil, 4096, 0)
+		err := f.Write(storage.BatchOp{LPA: int64(i % 4000), DataLen: 4096})
 		if errors.Is(err, ftl.ErrNoSpace) {
 			// At high b.N the simulated device genuinely wears out
 			// (PLC endures ~400 cycles); renew and refill it outside
@@ -476,7 +477,7 @@ func BenchmarkFTLWrite(b *testing.B) {
 			f = mk()
 			fill(f)
 			b.StartTimer()
-			err = f.Write(int64(i%4000), nil, 4096, 0)
+			err = f.Write(storage.BatchOp{LPA: int64(i % 4000), DataLen: 4096})
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -509,7 +510,7 @@ func BenchmarkFTLRead(b *testing.B) {
 		b.Fatal(err)
 	}
 	for lpa := int64(0); lpa < 4000; lpa++ {
-		if err := f.Write(lpa, nil, 4096, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 4096}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -586,7 +587,7 @@ func BenchmarkDeviceWriteSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dev.Write(int64(i%8000), data, 0, device.ClassSys); err != nil {
+		if _, err := dev.Write(device.BatchWrite{LBA: int64(i % 8000), Data: data, Class: device.ClassSys}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -807,7 +808,7 @@ func benchDeviceWriteObs(b *testing.B, mkRec func(*sim.Clock) *obs.Recorder) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dev.Write(int64(i%8000), data, 0, device.ClassSys); err != nil {
+		if _, err := dev.Write(device.BatchWrite{LBA: int64(i % 8000), Data: data, Class: device.ClassSys}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -957,7 +958,7 @@ func BenchmarkFTLRebuild(b *testing.B) {
 	}
 	seedFTL := mk()
 	for lpa := int64(0); lpa < 3000; lpa++ {
-		if err := seedFTL.Write(lpa, nil, 256, 0); err != nil {
+		if err := seedFTL.Write(storage.BatchOp{LPA: lpa, DataLen: 256}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1013,7 +1014,7 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 		}
 		rng := sim.NewRNG(5)
 		for lpa := int64(0); lpa < 120; lpa++ {
-			if err := f.Write(lpa, nil, 128, 0); err != nil {
+			if err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 128}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1024,7 +1025,7 @@ func BenchmarkAblationGCPolicy(b *testing.B) {
 			} else {
 				lpa = 15 + rng.Int63n(105)
 			}
-			if err := f.Write(lpa, nil, 128, 0); err != nil {
+			if err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 128}); err != nil {
 				b.Fatal(err)
 			}
 		}

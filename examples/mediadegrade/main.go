@@ -54,7 +54,7 @@ func main() {
 				end = len(data)
 			}
 			lba := base + int64(off/ps)
-			if _, err := dev.Write(lba, data[off:end], 0, class); err != nil {
+			if _, err := dev.Write(device.BatchWrite{LBA: lba, Data: data[off:end], Class: class}); err != nil {
 				log.Fatal(err)
 			}
 			lbas = append(lbas, lba)

@@ -67,10 +67,10 @@ func run(w io.Writer) error {
 	// approximate zones — same write call, policy decided by stream.
 	sysData := bytes.Repeat([]byte{0xAA}, 4096)
 	mediaData := bytes.Repeat([]byte{0x55}, 4096)
-	if err := be.Write(0, sysData, 0, sysStream); err != nil {
+	if err := be.Write(storage.BatchOp{LPA: 0, Data: sysData, Stream: sysStream}); err != nil {
 		return err
 	}
-	if err := be.Write(1, mediaData, 0, spareStream); err != nil {
+	if err := be.Write(storage.BatchOp{LPA: 1, Data: mediaData, Stream: spareStream}); err != nil {
 		return err
 	}
 
@@ -92,7 +92,7 @@ func run(w io.Writer) error {
 	// (zones have no stale command) until the backend drains and resets
 	// whole zones — reclamation at zone granularity.
 	for i := 0; i < 200; i++ {
-		if err := be.Write(1, mediaData, 0, spareStream); err != nil {
+		if err := be.Write(storage.BatchOp{LPA: 1, Data: mediaData, Stream: spareStream}); err != nil {
 			return err
 		}
 	}

@@ -233,7 +233,7 @@ func TestFaultToleranceSmart(t *testing.T) {
 		if lpa%2 == 1 {
 			class = device.ClassSpare
 		}
-		if _, err := dev.Write(lpa, payload, 0, class); err != nil {
+		if _, err := dev.Write(device.BatchWrite{LBA: lpa, Data: payload, Class: class}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func TestFaultToleranceSmart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := clean.Write(1, payload, 0, device.ClassSys); err != nil {
+	if _, err := clean.Write(device.BatchWrite{LBA: 1, Data: payload, Class: device.ClassSys}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := clean.Read(1); err != nil {
@@ -350,13 +350,13 @@ func TestSentinelPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cut.Write(0, []byte("x"), 0, device.ClassSys); !errors.Is(err, fault.ErrPowerCut) {
+	if _, err := cut.Write(device.BatchWrite{LBA: 0, Data: []byte("x"), Class: device.ClassSys}); !errors.Is(err, fault.ErrPowerCut) {
 		t.Errorf("write during cut = %v, want ErrPowerCut chain", err)
 	}
 	if err := cut.PowerCycle(); err != nil {
 		t.Fatalf("power cycle after cut: %v", err)
 	}
-	if _, err := cut.Write(0, []byte("x"), 0, device.ClassSys); err != nil {
+	if _, err := cut.Write(device.BatchWrite{LBA: 0, Data: []byte("x"), Class: device.ClassSys}); err != nil {
 		t.Errorf("write after restore: %v", err)
 	}
 }

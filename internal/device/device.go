@@ -416,97 +416,39 @@ func (d *Device) Medium() ftl.Flash { return d.medium }
 // device.
 func (d *Device) Injector() *fault.Injector { return d.inj }
 
-// Write stores one logical page under the given class hint. data may be
-// nil with dataLen set for accounting-only traffic. The returned latency
-// is the modelled device time for the operation.
-func (d *Device) Write(lba int64, data []byte, dataLen int, c Class) (sim.Time, error) {
-	id, err := d.streamFor(c)
+// Write stores one logical page under w's class. w.Data may be nil
+// with w.DataLen set for accounting-only traffic. The digest, when
+// present, is recorded durably alongside the page (the integrity
+// auditor, internal/audit, later re-reads pages and compares); the
+// lifetime bin routes the page to the backend's per-(stream, bin)
+// active block or zone. The returned latency is the modelled device
+// time for the operation.
+func (d *Device) Write(w BatchWrite) (sim.Time, error) {
+	id, err := d.streamFor(w.Class)
 	if err != nil {
 		return 0, err
 	}
-	if err := d.backend.Write(lba, data, dataLen, id); err != nil {
+	op := storage.BatchOp{LPA: w.LBA, Data: w.Data, DataLen: w.DataLen, Stream: id, Digest: w.Digest, HasDigest: w.HasDigest, Hint: w.Hint}
+	if err := d.backend.Write(op); err != nil {
 		return 0, err
 	}
 	pol := d.backend.Streams()[id]
 	lat := d.latency.ProgramLatency(pol.Mode)
 	d.busy += lat
 	d.writeCount++
-	d.obs.ObserveProgram(lat, dataLen)
+	d.obs.ObserveProgram(lat, w.DataLen)
 	return lat, nil
 }
 
-// WriteDigested is Write plus a host-computed payload digest, recorded
-// durably alongside the page when the mounted backend tracks digests
-// (both bundled backends do). The digest is opaque to the device; the
-// integrity auditor (internal/audit) later re-reads pages and compares.
-func (d *Device) WriteDigested(lba int64, data []byte, dataLen int, c Class, digest uint64) (sim.Time, error) {
-	ds, ok := d.backend.(storage.DigestStore)
-	if !ok {
-		return d.Write(lba, data, dataLen, c)
-	}
-	id, err := d.streamFor(c)
-	if err != nil {
-		return 0, err
-	}
-	if err := ds.WriteDigested(lba, data, dataLen, id, digest); err != nil {
-		return 0, err
-	}
-	pol := d.backend.Streams()[id]
-	lat := d.latency.ProgramLatency(pol.Mode)
-	d.busy += lat
-	d.writeCount++
-	d.obs.ObserveProgram(lat, dataLen)
-	return lat, nil
-}
-
-// WriteHinted is WriteDigested plus a predicted-lifetime bin routing
-// the page to the backend's per-(stream, bin) active block or zone.
-// A HintNone hint — or a backend without the HintedStore extension —
-// degrades to the digest path, byte for byte.
-func (d *Device) WriteHinted(lba int64, data []byte, dataLen int, c Class, digest uint64, hasDigest bool, hint storage.LifetimeHint) (sim.Time, error) {
-	hs, ok := d.backend.(storage.HintedStore)
-	if !ok || hint == storage.HintNone {
-		if hasDigest {
-			return d.WriteDigested(lba, data, dataLen, c, digest)
-		}
-		return d.Write(lba, data, dataLen, c)
-	}
-	id, err := d.streamFor(c)
-	if err != nil {
-		return 0, err
-	}
-	if err := hs.WriteHinted(lba, data, dataLen, id, digest, hasDigest, hint); err != nil {
-		return 0, err
-	}
-	pol := d.backend.Streams()[id]
-	lat := d.latency.ProgramLatency(pol.Mode)
-	d.busy += lat
-	d.writeCount++
-	d.obs.ObserveProgram(lat, dataLen)
-	return lat, nil
-}
-
-// StoredHint returns the lifetime bin durably recorded for a mapped
-// lba, if the mounted backend tracks hints.
-func (d *Device) StoredHint(lba int64) (storage.LifetimeHint, bool) {
-	hs, ok := d.backend.(storage.HintedStore)
-	if !ok {
-		return storage.HintNone, false
-	}
-	return hs.Hint(lba)
-}
+// StoredHint returns the lifetime bin durably recorded for a mapped lba.
+func (d *Device) StoredHint(lba int64) (storage.LifetimeHint, bool) { return d.backend.Hint(lba) }
 
 // StoredDigest returns the digest durably recorded for a mapped lba,
 // if any.
-func (d *Device) StoredDigest(lba int64) (uint64, bool) {
-	ds, ok := d.backend.(storage.DigestStore)
-	if !ok {
-		return 0, false
-	}
-	return ds.Digest(lba)
-}
+func (d *Device) StoredDigest(lba int64) (uint64, bool) { return d.backend.Digest(lba) }
 
-// BatchWrite is one logical write in a device batch (see WriteBatch).
+// BatchWrite is one logical write: the argument of Write and one
+// element of a WriteBatch.
 type BatchWrite struct {
 	LBA     int64
 	Data    []byte
@@ -571,14 +513,7 @@ func (d *Device) WriteBatch(ws []BatchWrite) (sim.Time, []storage.BatchFate, err
 			Digest: w.Digest, HasDigest: w.HasDigest, Hint: w.Hint,
 		}
 	}
-	if bw, ok := d.backend.(storage.BatchWriter); ok {
-		bw.WriteBatch(ops, fates, d.queues, d.workers)
-	} else {
-		for i := range ops {
-			err := d.backend.Write(ops[i].LPA, ops[i].Data, ops[i].DataLen, ops[i].Stream)
-			fates[i] = storage.BatchFate{Err: err, Block: -1, Page: -1}
-		}
-	}
+	d.backend.WriteBatch(ops, fates, d.queues, d.workers)
 	// Dispatch successes onto virtual-time lanes in canonical Seq order
 	// (one lane per plane), then merge the completions.
 	d.vt.Reset(0)
@@ -752,17 +687,7 @@ func (d *Device) ReadBatch(rds []BatchRead) (sim.Time, []storage.BatchReadFate) 
 			Queue: sim.DealQueue(i, n, d.queues),
 		}
 	}
-	if br, ok := d.backend.(storage.BatchReader); ok {
-		br.ReadBatch(ops, fates, d.queues, d.readWorkers)
-	} else {
-		for i := range ops {
-			fates[i] = storage.BatchReadFate{Block: -1, Page: -1}
-			if ppa, _, _, ok := d.backend.Locate(ops[i].LPA); ok {
-				fates[i].Block, fates[i].Page = ppa.Block, ppa.Page
-			}
-			fates[i].Res, fates[i].Err = d.backend.Read(ops[i].LPA)
-		}
-	}
+	d.backend.ReadBatch(ops, fates, d.queues, d.readWorkers)
 	// Fault ladder, per slice in canonical order — exactly what Read
 	// does after a hard fault, including relocation and quarantine.
 	for i := range ops {

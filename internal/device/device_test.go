@@ -48,7 +48,7 @@ func TestDefaultsApplied(t *testing.T) {
 func TestWriteReadRoundtrip(t *testing.T) {
 	d, _ := testSOS(t)
 	data := bytes.Repeat([]byte{0x42}, 512)
-	lat, err := d.Write(10, data, 0, ClassSys)
+	lat, err := d.Write(BatchWrite{LBA: 10, Data: data, Class: ClassSys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 
 func TestBadClassRejected(t *testing.T) {
 	d, _ := testSOS(t)
-	if _, err := d.Write(0, make([]byte, 8), 0, Class(9)); !errors.Is(err, ErrBadClass) {
+	if _, err := d.Write(BatchWrite{LBA: 0, Data: make([]byte, 8), Class: Class(9)}); !errors.Is(err, ErrBadClass) {
 		t.Fatalf("bad class: %v", err)
 	}
 	if err := d.Reclassify(0, Class(9)); !errors.Is(err, ErrBadClass) {
@@ -79,10 +79,10 @@ func TestBadClassRejected(t *testing.T) {
 
 func TestClassMapping(t *testing.T) {
 	d, _ := testSOS(t)
-	if _, err := d.Write(1, make([]byte, 8), 0, ClassSys); err != nil {
+	if _, err := d.Write(BatchWrite{LBA: 1, Data: make([]byte, 8), Class: ClassSys}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Write(2, make([]byte, 8), 0, ClassSpare); err != nil {
+	if _, err := d.Write(BatchWrite{LBA: 2, Data: make([]byte, 8), Class: ClassSpare}); err != nil {
 		t.Fatal(err)
 	}
 	if c, ok := d.ClassOf(1); !ok || c != ClassSys {
@@ -99,7 +99,7 @@ func TestClassMapping(t *testing.T) {
 func TestReclassify(t *testing.T) {
 	d, _ := testSOS(t)
 	data := bytes.Repeat([]byte{7}, 256)
-	if _, err := d.Write(5, data, 0, ClassSys); err != nil {
+	if _, err := d.Write(BatchWrite{LBA: 5, Data: data, Class: ClassSys}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Reclassify(5, ClassSpare); err != nil {
@@ -132,10 +132,10 @@ func TestBaselineSingleStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Both classes land on the single stream.
-	if _, err := d.Write(1, make([]byte, 8), 0, ClassSys); err != nil {
+	if _, err := d.Write(BatchWrite{LBA: 1, Data: make([]byte, 8), Class: ClassSys}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Write(2, make([]byte, 8), 0, ClassSpare); err != nil {
+	if _, err := d.Write(BatchWrite{LBA: 2, Data: make([]byte, 8), Class: ClassSpare}); err != nil {
 		t.Fatal(err)
 	}
 	c1, _ := d.ClassOf(1)
@@ -204,7 +204,7 @@ func TestCapacityShrinksUnderTorture(t *testing.T) {
 	d.OnCapacityChange = func(b int64) { events = append(events, b) }
 	data := make([]byte, 64)
 	for i := 0; i < 40000; i++ {
-		if _, err := d.Write(int64(i%15), data, 0, ClassSpare); err != nil {
+		if _, err := d.Write(BatchWrite{LBA: int64(i % 15), Data: data, Class: ClassSpare}); err != nil {
 			break
 		}
 	}
@@ -219,7 +219,7 @@ func TestCapacityShrinksUnderTorture(t *testing.T) {
 func TestSmartTelemetry(t *testing.T) {
 	d, _ := testSOS(t)
 	for i := 0; i < 20; i++ {
-		if _, err := d.Write(int64(i), make([]byte, 128), 0, ClassSpare); err != nil {
+		if _, err := d.Write(BatchWrite{LBA: int64(i), Data: make([]byte, 128), Class: ClassSpare}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -250,7 +250,7 @@ func TestWearGapSmartMetric(t *testing.T) {
 	d, _ := testSOS(t)
 	data := make([]byte, 64)
 	for i := 0; i < 200; i++ {
-		if _, err := d.Write(int64(i%100), data, 0, ClassSpare); err != nil {
+		if _, err := d.Write(BatchWrite{LBA: int64(i % 100), Data: data, Class: ClassSpare}); err != nil {
 			t.Fatal(err)
 		}
 	}

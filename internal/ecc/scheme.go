@@ -33,33 +33,12 @@ type Scheme interface {
 // IntoEncoder is an optional Scheme extension for the batched write
 // path: encode into a caller-owned buffer so steady-state submission
 // allocates nothing. Schemes that can't encode in place simply don't
-// implement it and EncodeToBuf falls back to Encode.
+// implement it and EncodeStored falls back to Encode.
 type IntoEncoder interface {
 	// EncodeInto writes the stored representation of data into dst and
 	// returns the stored length, exactly Overhead(len(data)). dst must
 	// be at least that long.
 	EncodeInto(dst, data []byte) (int, error)
-}
-
-// EncodeToBuf encodes data with s, reusing buf's capacity when the
-// scheme supports in-place encoding. It returns the stored payload,
-// which aliases buf on the fast path and is freshly allocated on the
-// fallback.
-func EncodeToBuf(s Scheme, buf, data []byte) ([]byte, error) {
-	enc, ok := s.(IntoEncoder)
-	if !ok {
-		return s.Encode(data)
-	}
-	need := s.Overhead(len(data))
-	if cap(buf) < need {
-		buf = make([]byte, need)
-	}
-	buf = buf[:need]
-	n, err := enc.EncodeInto(buf, data)
-	if err != nil {
-		return nil, err
-	}
-	return buf[:n], nil
 }
 
 // IntoDecoder is the optional Scheme extension for the batched read
@@ -84,6 +63,45 @@ func DecodeStored(s Scheme, stored []byte) (data []byte, corrected int, err erro
 		return dec.DecodeInPlace(stored)
 	}
 	return s.Decode(stored)
+}
+
+// StoredLen returns the stored (encoded) length of an n-byte payload
+// under s, counting the 8-byte alignment padding Hamming needs.
+func StoredLen(s Scheme, n int) int {
+	if _, ok := s.(HammingScheme); ok {
+		n = (n + 7) &^ 7
+	}
+	return s.Overhead(n)
+}
+
+// EncodeStored encodes data with s into dst and returns the stored
+// bytes, which alias dst when it holds at least StoredLen(s, len(data))
+// bytes and are freshly allocated otherwise (pass nil to always
+// allocate). Schemes with an in-place encoder write straight into dst;
+// the rest go through Encode, with Hamming's payload zero-padded to
+// 8-byte alignment first. Decoders strip the padding via the logical
+// length.
+func EncodeStored(s Scheme, dst, data []byte) ([]byte, error) {
+	if enc, ok := s.(IntoEncoder); ok {
+		if need := s.Overhead(len(data)); len(dst) < need {
+			dst = make([]byte, need)
+		}
+		n, err := enc.EncodeInto(dst, data)
+		if err != nil {
+			return nil, err
+		}
+		return dst[:n], nil
+	}
+	if _, ok := s.(HammingScheme); ok && len(data)%8 != 0 {
+		padded := make([]byte, (len(data)+7)&^7)
+		copy(padded, data)
+		data = padded
+	}
+	out, err := s.Encode(data)
+	if err != nil || len(dst) < len(out) {
+		return out, err
+	}
+	return dst[:copy(dst, out)], nil
 }
 
 // None is the no-protection scheme: bits read back exactly as the medium

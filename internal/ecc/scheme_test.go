@@ -170,6 +170,41 @@ func TestByName(t *testing.T) {
 		}
 		if s == nil {
 			t.Errorf("ByName(%q) returned nil scheme", name)
+			continue
+		}
+		// StoredLen and EncodeStored must agree with Encode over the
+		// aligned payload, Hamming's zero padding included.
+		rng := sim.NewRNG(uint64(len(name)))
+		for _, n := range []int{1, 7, 8, 13, 223, 500, 4096} {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(rng.Uint64())
+			}
+			aligned := data
+			if _, ok := s.(HammingScheme); ok && n%8 != 0 {
+				aligned = make([]byte, (n+7)&^7)
+				copy(aligned, data)
+			}
+			want, err := s.Encode(aligned)
+			if err != nil {
+				t.Fatalf("%s n=%d: Encode: %v", name, n, err)
+			}
+			if got := StoredLen(s, n); got != len(want) {
+				t.Errorf("%s n=%d: StoredLen = %d, Encode gave %d bytes", name, n, got, len(want))
+			}
+			fresh, err := EncodeStored(s, nil, data)
+			if err != nil || !bytes.Equal(fresh, want) {
+				t.Errorf("%s n=%d: EncodeStored(nil) differs from Encode (err %v)", name, n, err)
+			}
+			dst := bytes.Repeat([]byte{0xa5}, len(want)+5)
+			into, err := EncodeStored(s, dst, data)
+			if err != nil || !bytes.Equal(into, want) || &into[0] != &dst[0] {
+				t.Errorf("%s n=%d: EncodeStored(dst) differs from Encode or does not alias dst (err %v)", name, n, err)
+			}
+			got, _, err := s.Decode(into)
+			if err != nil || !bytes.Equal(got[:n], data) {
+				t.Errorf("%s n=%d: decode of EncodeStored output lost the payload (err %v)", name, n, err)
+			}
 		}
 	}
 	if _, err := ByName("ldpc"); err == nil {

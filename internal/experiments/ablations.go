@@ -82,7 +82,7 @@ func wearOutRun(f storage.Backend, budget int64, seed uint64) (*wearOutResult, e
 	}
 	cold := nLPA / 2
 	for lpa := int64(0); lpa < cold; lpa++ {
-		if err := f.Write(lpa, nil, 256, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 256}); err != nil {
 			return nil, err
 		}
 	}
@@ -98,7 +98,7 @@ func wearOutRun(f storage.Backend, budget int64, seed uint64) (*wearOutResult, e
 		} else {
 			lpa = cold + hot + rng.Int63n(nLPA-cold-hot)
 		}
-		err := f.Write(lpa, nil, 256, 0)
+		err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 256})
 		if errors.Is(err, storage.ErrNoSpace) {
 			break
 		}

@@ -72,7 +72,7 @@ func e17Trial(kind storage.Kind, quick bool) (e17Row, error) {
 		if lpa%2 == 1 {
 			class = device.ClassSpare
 		}
-		_, err := dev.Write(lpa, payload, 0, class)
+		_, err := dev.Write(device.BatchWrite{LBA: lpa, Data: payload, Class: class})
 		if errors.Is(err, storage.ErrNoSpace) {
 			break
 		}

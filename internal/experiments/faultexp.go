@@ -59,7 +59,7 @@ func e16Trial(label string, plan *fault.Plan, quick bool) (e16Row, error) {
 		if lpa%2 == 1 {
 			class = device.ClassSpare
 		}
-		if _, err := dev.Write(lpa, payload, 0, class); err != nil {
+		if _, err := dev.Write(device.BatchWrite{LBA: lpa, Data: payload, Class: class}); err != nil {
 			return row, err
 		}
 	}

@@ -182,10 +182,10 @@ func runE12(quick bool) (*Result, error) {
 		pages = 12
 	}
 	for i := 0; i < pages; i++ {
-		if _, err := dev.Write(int64(1000+i), payload, 0, device.ClassSys); err != nil {
+		if _, err := dev.Write(device.BatchWrite{LBA: int64(1000 + i), Data: payload, Class: device.ClassSys}); err != nil {
 			return nil, err
 		}
-		if _, err := dev.Write(int64(2000+i), payload, 0, device.ClassSpare); err != nil {
+		if _, err := dev.Write(device.BatchWrite{LBA: int64(2000 + i), Data: payload, Class: device.ClassSpare}); err != nil {
 			return nil, err
 		}
 	}

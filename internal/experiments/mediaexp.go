@@ -67,7 +67,7 @@ func storeAndAge(dev *device.Device, clock *sim.Clock, payload []byte, class dev
 			end = len(payload)
 		}
 		lba := baseLBA + int64(off/ps)
-		if _, err := dev.Write(lba, payload[off:end], 0, class); err != nil {
+		if _, err := dev.Write(device.BatchWrite{LBA: lba, Data: payload[off:end], Class: class}); err != nil {
 			return nil, err
 		}
 		lbas = append(lbas, lba)

@@ -4,8 +4,8 @@ import "sos/internal/flash"
 
 // RunMedium is the run-capable chip surface a RunInjector forwards
 // buffer management to. *flash.Chip satisfies it; the method set is the
-// structural mirror of storage.RunReader + storage.RunProgrammer (kept
-// structural so this package does not import storage).
+// run half of storage.RunFlash (kept structural so this package does
+// not import storage).
 type RunMedium interface {
 	Medium
 	ReadRunInto(ops []flash.ReadOp)

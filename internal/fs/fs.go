@@ -200,35 +200,11 @@ func (f *FS) writePagesOnce(e *fileEntry, payload []byte, size int64, class devi
 		}
 	} else {
 		for p := int64(0); p < npages; p++ {
-			lba := f.nextLB
-			f.nextLB++
-			var chunk []byte
-			chunkLen := int(ps)
-			if p == npages-1 {
-				chunkLen = int(size - p*ps)
-			}
-			if payload != nil {
-				lo := p * ps
-				hi := lo + int64(chunkLen)
-				chunk = payload[lo:hi]
-			}
-			var err error
-			if chunk != nil {
-				// Real payloads carry an integrity digest, computed here —
-				// before any encoding or medium decay — and stored durably
-				// in the page's OOB tag (see storage.DigestStore). The
-				// file's lifetime bin rides along; WriteHinted degrades to
-				// the digest path when the bin is HintNone.
-				_, err = f.dev.WriteHinted(lba, chunk, chunkLen, class, storage.DigestOf(chunk), true, e.hint)
-			} else if e.hint != storage.HintNone {
-				_, err = f.dev.WriteHinted(lba, chunk, chunkLen, class, 0, false, e.hint)
-			} else {
-				_, err = f.dev.Write(lba, chunk, chunkLen, class)
-			}
-			if err != nil {
+			w := f.pageWrite(e, payload, size, p, class)
+			if _, err := f.dev.Write(w); err != nil {
 				// Roll back already-written pages of this attempt.
-				for _, w := range e.pages {
-					_ = f.dev.Trim(w)
+				for _, lba := range e.pages {
+					_ = f.dev.Trim(lba)
 				}
 				e.pages = e.pages[:0]
 				e.size = 0
@@ -237,7 +213,7 @@ func (f *FS) writePagesOnce(e *fileEntry, payload []byte, size int64, class devi
 				}
 				return err
 			}
-			e.pages = append(e.pages, lba)
+			e.pages = append(e.pages, w.LBA)
 		}
 	}
 	e.size = size
@@ -249,34 +225,32 @@ func (f *FS) writePagesOnce(e *fileEntry, payload []byte, size int64, class devi
 	return nil
 }
 
+// pageWrite builds the device write of page p of a file of size bytes
+// and takes the next LBA for it. Real payloads carry an integrity
+// digest, computed here — before any encoding or medium decay — and
+// stored durably in the page's OOB tag; the file's lifetime bin rides
+// along.
+func (f *FS) pageWrite(e *fileEntry, payload []byte, size, p int64, class device.Class) device.BatchWrite {
+	ps := f.pageSize()
+	w := device.BatchWrite{LBA: f.nextLB, DataLen: int(min(ps, size-p*ps)), Class: class, Hint: e.hint}
+	f.nextLB++
+	if payload != nil {
+		w.Data = payload[p*ps : p*ps+int64(w.DataLen)]
+		w.Digest, w.HasDigest = storage.DigestOf(w.Data), true
+	}
+	return w
+}
+
 // writeBatchOnce writes all of a file's pages as one device batch. On
 // any per-page failure the pages that did land are trimmed and the
 // first error is returned, matching the serial loop's rollback.
 func (f *FS) writeBatchOnce(e *fileEntry, payload []byte, size, npages int64, class device.Class) error {
-	ps := f.pageSize()
 	if cap(f.batch) < int(npages) {
 		f.batch = make([]device.BatchWrite, npages)
 	}
 	ws := f.batch[:npages]
-	for p := int64(0); p < npages; p++ {
-		lba := f.nextLB
-		f.nextLB++
-		chunkLen := int(ps)
-		if p == npages-1 {
-			chunkLen = int(size - p*ps)
-		}
-		var chunk []byte
-		var digest uint64
-		hasDigest := false
-		if payload != nil {
-			lo := p * ps
-			chunk = payload[lo : lo+int64(chunkLen)]
-			// Same write-time digest as the serial path, carried through
-			// the batched datapath's OOB tags.
-			digest = storage.DigestOf(chunk)
-			hasDigest = true
-		}
-		ws[p] = device.BatchWrite{LBA: lba, Data: chunk, DataLen: chunkLen, Class: class, Digest: digest, HasDigest: hasDigest, Hint: e.hint}
+	for p := range ws {
+		ws[p] = f.pageWrite(e, payload, size, int64(p), class)
 	}
 	_, fates, err := f.dev.WriteBatch(ws)
 	if err == nil {

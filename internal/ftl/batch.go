@@ -2,8 +2,8 @@ package ftl
 
 import (
 	"errors"
-	"sync"
 
+	"sos/internal/datapath"
 	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/obs"
@@ -77,10 +77,14 @@ type batchScratch struct {
 	sizes    []int               // buffer-take scratch
 	bufs     [][]byte            // buffer-take scratch
 	pending  map[int64]struct{}  // LPAs placed in the current run
-	wg       sync.WaitGroup
+	fan      datapath.Fan
+
+	// The batch in flight, for the fanned-out phases.
+	ops    []storage.BatchOp
+	queues int
 }
 
-// WriteBatch implements storage.BatchWriter. fates[i] records the
+// WriteBatch implements storage.Backend. fates[i] records the
 // outcome of ops[i]; queues is the submission-queue count the ops were
 // dealt across and workers bounds goroutine use. Results are identical
 // for every (queues, workers) pair.
@@ -89,9 +93,7 @@ func (f *FTL) WriteBatch(ops []storage.BatchOp, fates []storage.BatchFate, queue
 	if len(ops) == 0 {
 		return
 	}
-	pf, planed := f.chip.(storage.PlanedFlash)
-	rp, runs := f.chip.(storage.RunProgrammer)
-	if !planed || !runs {
+	if f.runs == nil {
 		// The medium didn't opt into plane parallelism — the fault
 		// interposer's plans are op-indexed and unsynchronized, for one.
 		// Run the ops through the serial path in canonical order.
@@ -101,13 +103,9 @@ func (f *FTL) WriteBatch(ops []storage.BatchOp, fates []storage.BatchFate, queue
 		}
 		return
 	}
-	if queues < 1 {
-		queues = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	f.ensureBatchScratch(len(ops), pf.Planes())
+	bs := &f.bs
+	f.ensureBatchScratch(len(ops), f.runs.Planes())
+	bs.ops, bs.queues = ops, max(queues, 1)
 
 	f.validateBatch(ops, fates)
 
@@ -123,13 +121,14 @@ func (f *FTL) WriteBatch(ops []storage.BatchOp, fates []storage.BatchFate, queue
 			i++
 			continue
 		}
-		f.groupPlanes(pf)
-		f.takeRunBufs(rp)
-		f.encodeRun(ops, queues, workers)
-		f.execDescs(rp, workers)
+		f.groupPlanes()
+		f.takeRunBufs()
+		bs.fan.Run((*queueEncodes)(f), bs.queues, workers)
+		f.execDescs(workers)
 		f.settleDescs(ops, fates)
 		i += placed
 	}
+	bs.ops = nil
 }
 
 // ensureBatchScratch sizes the reusable scratch for a batch of n ops
@@ -201,26 +200,8 @@ func (f *FTL) validateBatch(ops []storage.BatchOp, fates []storage.BatchFate) {
 			encN[i] = 0
 			continue
 		}
-		padded := dataLen
-		if _, isHamming := pol.Scheme.(ecc.HammingScheme); isHamming {
-			padded = (dataLen + 7) &^ 7
-		}
-		encN[i] = pol.Scheme.Overhead(padded)
+		encN[i] = ecc.StoredLen(pol.Scheme, dataLen)
 	}
-}
-
-// encodeIntoFor encodes into dst via the scheme's IntoEncoder when it
-// has one, falling back to the allocating path (Hamming's 8-byte
-// padding, any future scheme without in-place support).
-func encodeIntoFor(s ecc.Scheme, dst, data []byte) (int, error) {
-	if enc, ok := s.(ecc.IntoEncoder); ok {
-		return enc.EncodeInto(dst, data)
-	}
-	out, err := encodeFor(s, data)
-	if err != nil {
-		return 0, err
-	}
-	return copy(dst, out), nil
 }
 
 // placeRun is phase B: starting at ops[start], reserve placements for
@@ -307,7 +288,7 @@ func (f *FTL) placeRun(ops []storage.BatchOp, fates []storage.BatchFate, start i
 
 // groupPlanes buckets the run's descriptors by owning plane; each
 // bucket keeps canonical (Seq) order.
-func (f *FTL) groupPlanes(pf storage.PlanedFlash) {
+func (f *FTL) groupPlanes() {
 	bs := &f.bs
 	pidx := bs.planeIdx[:bs.planes]
 	for p := range pidx {
@@ -315,7 +296,7 @@ func (f *FTL) groupPlanes(pf storage.PlanedFlash) {
 	}
 	for di := range bs.descs {
 		d := &bs.descs[di]
-		p := pf.PlaneOf(d.block)
+		p := f.runs.PlaneOf(d.block)
 		d.plane = int32(p)
 		pidx[p] = append(pidx[p], int32(di))
 	}
@@ -325,7 +306,7 @@ func (f *FTL) groupPlanes(pf storage.PlanedFlash) {
 // from its plane's pool — one locked call per plane — for phase C to
 // encode into. Ownership passes to the chip at program time; buffers of
 // descriptors that never reach the chip are returned after phase D.
-func (f *FTL) takeRunBufs(rp storage.RunProgrammer) {
+func (f *FTL) takeRunBufs() {
 	bs := &f.bs
 	for p := 0; p < bs.planes; p++ {
 		k := 0
@@ -339,7 +320,7 @@ func (f *FTL) takeRunBufs(rp storage.RunProgrammer) {
 		if k == 0 {
 			continue
 		}
-		rp.TakeProgramBufs(p, bs.sizes[:k], bs.bufs[:k])
+		f.runs.TakeProgramBufs(p, bs.sizes[:k], bs.bufs[:k])
 		k = 0
 		for _, di := range bs.planeIdx[p] {
 			d := &bs.descs[di]
@@ -352,63 +333,41 @@ func (f *FTL) takeRunBufs(rp storage.RunProgrammer) {
 	}
 }
 
-// encodeRun is phase C: encode every payload descriptor's codeword into
-// its chip-owned buffer, parallel across queues when workers allow.
-// Each descriptor writes only its own buffer, its own stored slot, and
-// its own err, so queues share nothing.
-func (f *FTL) encodeRun(ops []storage.BatchOp, queues, workers int) {
-	bs := &f.bs
-	if workers > 1 && queues > 1 {
-		for q := 1; q < queues; q++ {
-			bs.wg.Add(1)
-			f.encodeRunAsync(ops, q, queues)
-		}
-		f.encodeRunQueue(ops, 0, queues)
-		bs.wg.Wait()
-		return
-	}
-	for q := 0; q < queues; q++ {
-		f.encodeRunQueue(ops, q, queues)
-	}
-}
+// queueEncodes is phase C: Do(q) encodes queue q's payload
+// descriptors into their chip-owned buffers, parallel across queues
+// when workers allow. Each descriptor writes only its own buffer, its
+// own stored slot, and its own err, so queues share nothing.
+type queueEncodes FTL
 
-// encodeRunAsync runs encodeRunQueue on its own goroutine; a method
-// call rather than a closure so the spawn allocates no capture
-// environment.
-func (f *FTL) encodeRunAsync(ops []storage.BatchOp, q, queues int) {
-	go func() {
-		defer f.bs.wg.Done()
-		f.encodeRunQueue(ops, q, queues)
-	}()
-}
+func (t *queueEncodes) Do(q int) { (*FTL)(t).encodeRunQueue(q) }
 
 // encodeRunQueue encodes queue q's payload descriptors. An encode
 // failure (unreachable after phase A validation, kept for safety) is
 // recorded as a program-status failure so phase E's repair machinery —
 // reservation rollback, block seal, serial-path retry — restores
 // consistency; the retry surfaces the real error as the op's fate.
-func (f *FTL) encodeRunQueue(ops []storage.BatchOp, q, queues int) {
+func (f *FTL) encodeRunQueue(q int) {
 	bs := &f.bs
 	for di := range bs.descs {
 		d := &bs.descs[di]
 		if !d.payload {
 			continue
 		}
-		op := &ops[d.opIdx]
+		op := &bs.ops[d.opIdx]
 		oq := op.Queue
-		if oq < 0 || oq >= queues {
+		if oq < 0 || oq >= bs.queues {
 			oq = 0
 		}
 		if oq != q {
 			continue
 		}
 		pol := &f.streams[d.stream]
-		n, err := encodeIntoFor(pol.Scheme, d.stored, op.Data)
+		stored, err := ecc.EncodeStored(pol.Scheme, d.stored, op.Data)
 		if err != nil {
 			d.err = flash.ErrProgramFail
 			continue
 		}
-		d.stored = d.stored[:n]
+		d.stored = stored
 	}
 }
 
@@ -417,54 +376,27 @@ func (f *FTL) encodeRunQueue(ops []storage.BatchOp, q, queues int) {
 // order, so per-plane RNG draws are identical at every worker count.
 // Afterwards, buffers of descriptors that never reached the chip go
 // back to their plane's pool.
-func (f *FTL) execDescs(rp storage.RunProgrammer, workers int) {
+func (f *FTL) execDescs(workers int) {
 	bs := &f.bs
 	if len(bs.descs) == 0 {
 		return
 	}
-	pidx := bs.planeIdx[:bs.planes]
-	nw := workers
-	if nw > bs.planes {
-		nw = bs.planes
-	}
-	if nw <= 1 {
-		for p := range pidx {
-			f.execPlane(rp, p, pidx[p])
-		}
-	} else {
-		for w := 1; w < nw; w++ {
-			bs.wg.Add(1)
-			f.execPlanesAsync(rp, pidx, w, nw)
-		}
-		f.execPlanesWorker(rp, pidx, 0, nw)
-		bs.wg.Wait()
-	}
+	bs.fan.Run((*planePrograms)(f), bs.planes, workers)
 	for di := range bs.descs {
 		d := &bs.descs[di]
 		if d.payload && d.runPos < 0 && d.stored != nil {
 			bs.bufs[0] = d.stored
-			rp.ReturnProgramBufs(int(d.plane), bs.bufs[:1])
+			f.runs.ReturnProgramBufs(int(d.plane), bs.bufs[:1])
 			bs.bufs[0] = nil
 			d.stored = nil
 		}
 	}
 }
 
-// execPlanesAsync runs one plane worker on its own goroutine.
-func (f *FTL) execPlanesAsync(rp storage.RunProgrammer, pidx [][]int32, w, nw int) {
-	go func() {
-		defer f.bs.wg.Done()
-		f.execPlanesWorker(rp, pidx, w, nw)
-	}()
-}
+// planePrograms fans phase D out: Do(p) executes plane p.
+type planePrograms FTL
 
-// execPlanesWorker executes every plane assigned to worker w (static
-// stride assignment: plane p belongs to worker p % nw).
-func (f *FTL) execPlanesWorker(rp storage.RunProgrammer, pidx [][]int32, w, nw int) {
-	for p := w; p < len(pidx); p += nw {
-		f.execPlane(rp, p, pidx[p])
-	}
-}
+func (t *planePrograms) Do(p int) { (*FTL)(t).execPlane(p, t.bs.planeIdx[p]) }
 
 // execPlane executes one plane's descriptors in canonical order as a
 // single program run under one plane-lock acquisition. After a
@@ -475,7 +407,7 @@ func (f *FTL) execPlanesWorker(rp storage.RunProgrammer, pidx [][]int32, w, nw i
 // identical RNG draws (ErrOutOfOrder returns before any failure draw).
 // Descriptors that already failed encode poison their block the same
 // way without reaching the chip.
-func (f *FTL) execPlane(rp storage.RunProgrammer, p int, idxs []int32) {
+func (f *FTL) execPlane(p int, idxs []int32) {
 	if len(idxs) == 0 {
 		return
 	}
@@ -510,7 +442,7 @@ func (f *FTL) execPlane(rp storage.RunProgrammer, p int, idxs []int32) {
 		})
 	}
 	bs.planeOps[p] = run
-	rp.ProgramRunTagged(run)
+	f.runs.ProgramRunTagged(run)
 	for _, di := range idxs {
 		d := &bs.descs[di]
 		if d.runPos < 0 {

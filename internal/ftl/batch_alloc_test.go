@@ -42,7 +42,7 @@ func TestWriteBatchZeroAlloc(t *testing.T) {
 	// allocations (one buffer per net-new programmed page).
 	scratchBlocks := map[int]struct{}{}
 	for lpa := int64(5000); lpa < 5400; lpa++ {
-		if err := f.Write(lpa, payload, 0, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: payload}); err != nil {
 			t.Fatal(err)
 		}
 		if ppa, _, _, ok := f.Locate(lpa); ok {
@@ -161,12 +161,12 @@ func TestReadBatchZeroAlloc(t *testing.T) {
 	}
 	payload := make([]byte, 256)
 	for lpa := int64(0); lpa < 24; lpa++ {
-		if err := f.Write(lpa, payload, 0, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for lpa := int64(100); lpa < 124; lpa++ {
-		if err := f.Write(lpa, payload, 0, 1); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: payload, Stream: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

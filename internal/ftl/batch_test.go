@@ -43,7 +43,7 @@ func applySerial(t *testing.T, f *FTL, ops []storage.BatchOp) []error {
 	t.Helper()
 	errs := make([]error, len(ops))
 	for i := range ops {
-		errs[i] = f.Write(ops[i].LPA, ops[i].Data, ops[i].DataLen, ops[i].Stream)
+		errs[i] = f.Write(storage.BatchOp{LPA: ops[i].LPA, Data: ops[i].Data, DataLen: ops[i].DataLen, Stream: ops[i].Stream})
 	}
 	return errs
 }

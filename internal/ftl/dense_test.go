@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"sos/internal/storage"
 	"testing"
 
 	"sos/internal/ecc"
@@ -45,7 +46,7 @@ func TestFTLReadPathZeroAlloc(t *testing.T) {
 	f := noneFTL(t, 16)
 	data := make([]byte, 512)
 	for lpa := int64(0); lpa < 40; lpa++ {
-		if err := f.Write(lpa, data, 0, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: data}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,11 +75,11 @@ func TestFTLReadPathZeroAlloc(t *testing.T) {
 func TestDenseL2PGrowthSparseLPA(t *testing.T) {
 	f := noneFTL(t, 16)
 	data := make([]byte, 512)
-	if err := f.Write(0, data, 0, 0); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 0, Data: data}); err != nil {
 		t.Fatal(err)
 	}
 	const far = int64(100_000)
-	if err := f.Write(far, data, 0, 0); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: far, Data: data}); err != nil {
 		t.Fatalf("sparse write at lpa %d: %v", far, err)
 	}
 	if int64(len(f.l2p)) <= far {
@@ -92,7 +93,7 @@ func TestDenseL2PGrowthSparseLPA(t *testing.T) {
 	if f.MappedPages() != 2 {
 		t.Fatalf("mapped = %d, want 2", f.MappedPages())
 	}
-	if err := f.Write(-1, data, 0, 0); !errors.Is(err, ErrBadLPA) {
+	if err := f.Write(storage.BatchOp{LPA: -1, Data: data}); !errors.Is(err, ErrBadLPA) {
 		t.Fatalf("negative lpa returned %v, want ErrBadLPA", err)
 	}
 	if err := CheckInvariants(f); err != nil {
@@ -108,7 +109,7 @@ func TestDenseP2LInvalidationOnQuarantine(t *testing.T) {
 	f := noneFTL(t, 16)
 	data := make([]byte, 512)
 	for lpa := int64(0); lpa < 20; lpa++ {
-		if err := f.Write(lpa, data, 0, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: data}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +161,7 @@ func TestDenseL2PGrowthAcrossCapacityVariance(t *testing.T) {
 		} else {
 			lpa = int64(i % 20)
 		}
-		err := f.Write(lpa, data, 0, spareStream)
+		err := f.Write(storage.BatchOp{LPA: lpa, Data: data, Stream: spareStream})
 		if errors.Is(err, ErrNoSpace) {
 			break
 		}
@@ -194,7 +195,7 @@ func TestRecoverDenseTablesMatchGolden(t *testing.T) {
 		if i%3 == 0 {
 			st = spareStream
 		}
-		if err := f.Write(lpa, data, 0, st); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: data, Stream: st}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -205,7 +206,7 @@ func TestRecoverDenseTablesMatchGolden(t *testing.T) {
 		if err := f.Trim(lpa); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Write(lpa, data, 0, sysStream); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: data, Stream: sysStream}); err != nil {
 			t.Fatal(err)
 		}
 	}

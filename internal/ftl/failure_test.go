@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"sos/internal/storage"
 	"testing"
 
 	"sos/internal/ecc"
@@ -46,7 +47,7 @@ func TestProgramFailureAbsorbed(t *testing.T) {
 	var firstErr error
 	writes := 0
 	for i := 0; i < 100000; i++ {
-		err := f.Write(int64(i%12), nil, 128, 0)
+		err := f.Write(storage.BatchOp{LPA: int64(i % 12), DataLen: 128})
 		if err != nil {
 			firstErr = err
 			break
@@ -85,13 +86,13 @@ func TestFailedBlockDrained(t *testing.T) {
 	}
 	// Durable set.
 	for lpa := int64(0); lpa < 6; lpa++ {
-		if err := f.Write(lpa, payload(lpa), 0, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: payload(lpa)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Churn until failures appear or budget ends.
 	for i := 0; i < 60000; i++ {
-		if err := f.Write(100+int64(i%6), nil, 128, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: 100 + int64(i%6), DataLen: 128}); err != nil {
 			break
 		}
 	}
@@ -159,13 +160,13 @@ func TestProgramFailurePreservesOldData(t *testing.T) {
 	// L2P mapping only moves after a successful program.
 	f := tortureFTL(t, 8, nil)
 	want := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := f.Write(1, want, 0, 0); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 1, Data: want}); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite many times; some attempts may internally retry across
 	// program failures once blocks wear.
 	for i := 0; i < 30000; i++ {
-		if err := f.Write(1, want, 0, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: 1, Data: want}); err != nil {
 			break
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sos/internal/datapath"
 	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/obs"
@@ -87,12 +88,12 @@ type mapping struct {
 	// relocation (accounting-only pages; payload pages carry corruption
 	// in the bytes themselves).
 	baseFlips int
-	// digest mirrors the page's OOB tag digest (storage.DigestStore) so
+	// digest mirrors the page's OOB tag digest (storage.Backend.Digest) so
 	// verification and relocation read it without a chip op. Relocation
 	// copies it verbatim: it always hashes the original host payload.
 	digest    uint64
 	hasDigest bool
-	// hint mirrors the page's OOB lifetime bin (storage.HintedStore) so
+	// hint mirrors the page's OOB lifetime bin (storage.Backend.Hint) so
 	// dead-data-aware GC scans it without a chip op. Relocation carries
 	// it verbatim: relocated data keeps its predicted deathtime.
 	hint storage.LifetimeHint
@@ -102,6 +103,7 @@ type mapping struct {
 // fault-injection interposer).
 type FTL struct {
 	chip    Flash
+	runs    storage.RunFlash // chip's run surface; nil = serial paths only
 	streams []StreamPolicy
 	obs     *obs.Recorder // nil disables tracing
 
@@ -136,11 +138,11 @@ type FTL struct {
 	// reused across WriteBatch calls so steady-state batches allocate
 	// nothing.
 	bs batchScratch
-	// rs is the batched-read scratch, likewise reused across ReadBatch
-	// calls (see readbatch.go).
-	rs readScratch
+	// rs is the shared batched-read engine's scratch, likewise reused
+	// across ReadBatch calls (see backend.go).
+	rs datapath.Reads
 	// gcr is the batched GC victim-read scratch (see gc.go).
-	gcr gcReadScratch
+	gcr datapath.Victims
 
 	blocks   []blockState
 	freePool []int // erased, unallocated block ids
@@ -279,6 +281,7 @@ func New(cfg Config) (*FTL, error) {
 		logicalSz: geo.PageSize,
 		origCfg:   cfg,
 	}
+	f.runs, _ = cfg.Chip.(storage.RunFlash)
 	for i := range f.p2l {
 		f.p2l[i] = -1
 	}
@@ -486,35 +489,18 @@ func (f *FTL) writableActive(id StreamID, h storage.LifetimeHint) (int, error) {
 	return nb, nil
 }
 
-// Write stores data (length <= LogicalPageSize) at lpa under the given
-// stream. A nil data with dataLen > 0 performs an accounting-only write
-// (no payload stored; error counts still modelled).
-func (f *FTL) Write(lpa int64, data []byte, dataLen int, id StreamID) error {
+// Write implements storage.Backend: it stores op.Data (or an
+// accounting-only op.DataLen) at op.LPA under op.Stream, recording the
+// op's digest and lifetime hint in the page's OOB tag and mapping. A
+// hinted op routes to the stream's per-bin active block.
+func (f *FTL) Write(op storage.BatchOp) error {
 	defer f.flushCapacity()
-	_, _, err := f.writeOne(lpa, data, dataLen, id, 0, false, storage.HintNone)
-	return err
-}
-
-// WriteDigested is Write plus a host-computed payload digest recorded
-// in the page's OOB tag and mapping (storage.DigestStore).
-func (f *FTL) WriteDigested(lpa int64, data []byte, dataLen int, id StreamID, digest uint64) error {
-	defer f.flushCapacity()
-	_, _, err := f.writeOne(lpa, data, dataLen, id, digest, true, storage.HintNone)
-	return err
-}
-
-// WriteHinted is WriteDigested plus a predicted-lifetime bin recorded in
-// the page's OOB tag and mapping, routing the page to the stream's
-// per-bin active block (storage.HintedStore). hasDigest false
-// degenerates to an unhinted-digest Write.
-func (f *FTL) WriteHinted(lpa int64, data []byte, dataLen int, id StreamID, digest uint64, hasDigest bool, hint storage.LifetimeHint) error {
-	defer f.flushCapacity()
-	_, _, err := f.writeOne(lpa, data, dataLen, id, digest, hasDigest, hint)
+	_, _, err := f.writeOne(op.LPA, op.Data, op.DataLen, op.Stream, op.Digest, op.HasDigest, op.Hint)
 	return err
 }
 
 // Hint returns the recorded lifetime bin for a mapped lpa
-// (storage.HintedStore).
+// (storage.Backend).
 func (f *FTL) Hint(lpa int64) (storage.LifetimeHint, bool) {
 	m, ok := f.lookup(lpa)
 	if !ok {
@@ -524,7 +510,7 @@ func (f *FTL) Hint(lpa int64) (storage.LifetimeHint, bool) {
 }
 
 // Digest returns the recorded payload digest for a mapped lpa
-// (storage.DigestStore).
+// (storage.Backend).
 func (f *FTL) Digest(lpa int64) (uint64, bool) {
 	m, ok := f.lookup(lpa)
 	if !ok || !m.hasDigest {
@@ -554,7 +540,7 @@ func (f *FTL) writeOne(lpa int64, data []byte, dataLen int, id StreamID, digest 
 	var stored []byte
 	storedLen := pol.Scheme.Overhead(dataLen)
 	if data != nil {
-		stored, err = encodeFor(pol.Scheme, data)
+		stored, err = ecc.EncodeStored(pol.Scheme, nil, data)
 		if err != nil {
 			return -1, -1, err
 		}
@@ -632,17 +618,6 @@ func (f *FTL) sealBlock(b int) {
 func (f *FTL) sealFailedBlock(b int) {
 	f.sealBlock(b)
 	f.progFailures++
-}
-
-// encodeFor pads data to 8-byte alignment when the scheme needs it
-// (Hamming) and encodes. Padding is stripped on decode via dataLen.
-func encodeFor(s ecc.Scheme, data []byte) ([]byte, error) {
-	if _, isHamming := s.(ecc.HammingScheme); isHamming && len(data)%8 != 0 {
-		padded := make([]byte, (len(data)+7)&^7)
-		copy(padded, data)
-		return s.Encode(padded)
-	}
-	return s.Encode(data)
 }
 
 // invalidate marks a physical page stale and updates block accounting.

@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"errors"
+	"sos/internal/storage"
 	"testing"
 
 	"sos/internal/ecc"
@@ -80,7 +81,7 @@ func TestNewValidation(t *testing.T) {
 func TestWriteReadRoundtrip(t *testing.T) {
 	f, _ := testFTL(t, 32)
 	data := bytes.Repeat([]byte{0xcd}, 512)
-	if err := f.Write(7, data, 0, sysStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 7, Data: data, Stream: sysStream}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := f.Read(7)
@@ -100,13 +101,13 @@ func TestWriteReadRoundtrip(t *testing.T) {
 
 func TestWriteValidation(t *testing.T) {
 	f, _ := testFTL(t, 32)
-	if err := f.Write(0, nil, 0, sysStream); !errors.Is(err, ErrPayloadSize) {
+	if err := f.Write(storage.BatchOp{LPA: 0, Stream: sysStream}); !errors.Is(err, ErrPayloadSize) {
 		t.Fatalf("zero-length write: %v", err)
 	}
-	if err := f.Write(0, make([]byte, 513), 0, sysStream); !errors.Is(err, ErrPayloadSize) {
+	if err := f.Write(storage.BatchOp{LPA: 0, Data: make([]byte, 513), Stream: sysStream}); !errors.Is(err, ErrPayloadSize) {
 		t.Fatalf("oversize write: %v", err)
 	}
-	if err := f.Write(0, make([]byte, 8), 0, StreamID(9)); !errors.Is(err, ErrUnknownStream) {
+	if err := f.Write(storage.BatchOp{LPA: 0, Data: make([]byte, 8), Stream: StreamID(9)}); !errors.Is(err, ErrUnknownStream) {
 		t.Fatalf("unknown stream: %v", err)
 	}
 }
@@ -122,10 +123,10 @@ func TestOverwriteSupersedes(t *testing.T) {
 	f, _ := testFTL(t, 32)
 	a := bytes.Repeat([]byte{1}, 100)
 	b := bytes.Repeat([]byte{2}, 100)
-	if err := f.Write(5, a, 0, sysStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 5, Data: a, Stream: sysStream}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Write(5, b, 0, sysStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 5, Data: b, Stream: sysStream}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := f.Read(5)
@@ -145,7 +146,7 @@ func TestTrim(t *testing.T) {
 	if err := f.Trim(3); !errors.Is(err, ErrUnknownLPA) {
 		t.Fatalf("trim unmapped: %v", err)
 	}
-	if err := f.Write(3, make([]byte, 64), 0, spareStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 3, Data: make([]byte, 64), Stream: spareStream}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Trim(3); err != nil {
@@ -161,7 +162,7 @@ func TestTrim(t *testing.T) {
 
 func TestAccountingWrites(t *testing.T) {
 	f, _ := testFTL(t, 32)
-	if err := f.Write(11, nil, 400, spareStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 11, DataLen: 400, Stream: spareStream}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := f.Read(11)
@@ -186,7 +187,7 @@ func TestGCReclaimsStaleCapacity(t *testing.T) {
 	data := make([]byte, 256)
 	for i := 0; i < 600; i++ {
 		lpa := int64(i % 10)
-		if err := f.Write(lpa, data, 0, spareStream); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: data, Stream: spareStream}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}
@@ -218,13 +219,13 @@ func TestGCPreservesData(t *testing.T) {
 	// subset. Every GC victim then holds mostly-live pages, so reclaim
 	// must relocate them.
 	for lpa := int64(0); lpa < 90; lpa++ {
-		if err := f.Write(lpa, payload(lpa), 0, sysStream); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: payload(lpa), Stream: sysStream}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 300; i++ {
 		lpa := int64((i * 8) % 88)
-		if err := f.Write(lpa, payload(lpa), 0, sysStream); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: payload(lpa), Stream: sysStream}); err != nil {
 			t.Fatalf("churn %d: %v", i, err)
 		}
 	}
@@ -248,7 +249,7 @@ func TestOutOfSpace(t *testing.T) {
 	var err error
 	for i := 0; i < 200; i++ {
 		// Distinct LPAs: nothing is stale, GC can reclaim nothing.
-		err = f.Write(int64(i), data, 0, spareStream)
+		err = f.Write(storage.BatchOp{LPA: int64(i), Data: data, Stream: spareStream})
 		if err != nil {
 			break
 		}
@@ -260,10 +261,10 @@ func TestOutOfSpace(t *testing.T) {
 
 func TestStreamSeparation(t *testing.T) {
 	f, _ := testFTL(t, 32)
-	if err := f.Write(1, make([]byte, 64), 0, sysStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 1, Data: make([]byte, 64), Stream: sysStream}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Write(2, make([]byte, 64), 0, spareStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 2, Data: make([]byte, 64), Stream: spareStream}); err != nil {
 		t.Fatal(err)
 	}
 	chip := f.Chip()
@@ -287,7 +288,7 @@ func TestStreamSeparation(t *testing.T) {
 func TestRelocateAcrossStreams(t *testing.T) {
 	f, _ := testFTL(t, 32)
 	data := bytes.Repeat([]byte{0x77}, 200)
-	if err := f.Write(42, data, 0, sysStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 42, Data: data, Stream: sysStream}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Relocate(42, spareStream); err != nil {
@@ -319,7 +320,7 @@ func TestWearLevelingSpreadsWear(t *testing.T) {
 		f, _ := testFTL(t, 16)
 		data := make([]byte, 256)
 		for i := 0; i < 3000; i++ {
-			if err := f.Write(int64(i%12), data, 0, stream); err != nil {
+			if err := f.Write(storage.BatchOp{LPA: int64(i % 12), Data: data, Stream: stream}); err != nil {
 				t.Fatalf("write: %v", err)
 			}
 		}
@@ -355,7 +356,7 @@ func TestDegradedReadOnWornSpare(t *testing.T) {
 		}
 	}
 	data := bytes.Repeat([]byte{0xee}, 512)
-	if err := f.Write(1, data, 0, spareStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 1, Data: data, Stream: spareStream}); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(2 * sim.Year)
@@ -387,10 +388,10 @@ func TestSysSurvivesWhereSpareDegrades(t *testing.T) {
 		}
 	}
 	data := bytes.Repeat([]byte{0xaa}, 512)
-	if err := f.Write(1, data, 0, sysStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 1, Data: data, Stream: sysStream}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Write(2, data, 0, spareStream); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 2, Data: data, Stream: spareStream}); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(3 * sim.Year)
@@ -425,7 +426,7 @@ func TestScrubRelocatesHotPages(t *testing.T) {
 	}
 	data := bytes.Repeat([]byte{0x3c}, 512)
 	for lpa := int64(0); lpa < 5; lpa++ {
-		if err := f.Write(lpa, data, 0, spareStream); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: data, Stream: spareStream}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -459,7 +460,7 @@ func TestScrubBudget(t *testing.T) {
 		}
 	}
 	for lpa := int64(0); lpa < 6; lpa++ {
-		if err := f.Write(lpa, make([]byte, 64), 0, spareStream); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, Data: make([]byte, 64), Stream: spareStream}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -487,7 +488,7 @@ func TestCapacityVarianceOnRetirement(t *testing.T) {
 	// PLC rated 400; 8 blocks x 10 pages: ~64 usable pages/cycle.
 	// 400 cycles x 8 blocks x 8 pages of writes to wear everything out.
 	for i := 0; i < 400*8*10; i++ {
-		err := f.Write(int64(i%20), data, 0, spareStream)
+		err := f.Write(storage.BatchOp{LPA: int64(i % 20), Data: data, Stream: spareStream})
 		if errors.Is(err, ErrNoSpace) {
 			break
 		}
@@ -526,7 +527,7 @@ func TestLogicalPageSize(t *testing.T) {
 
 func TestStatsShape(t *testing.T) {
 	f, _ := testFTL(t, 16)
-	_ = f.Write(1, make([]byte, 64), 0, sysStream)
+	_ = f.Write(storage.BatchOp{LPA: 1, Data: make([]byte, 64), Stream: sysStream})
 	st := f.Stats()
 	if st.HostWrites != 1 || st.FlashPrograms != 1 || st.MappedPages != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -547,7 +548,7 @@ func TestL2PInvariant(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0, 1:
 			stream := StreamID(rng.Intn(2))
-			err := f.Write(lpa, nil, 64+rng.Intn(400), stream)
+			err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 64 + rng.Intn(400), Stream: stream})
 			if err != nil && !errors.Is(err, ErrNoSpace) {
 				t.Fatalf("op %d write: %v", op, err)
 			}
@@ -572,7 +573,7 @@ func TestInvariantsAfterScrubAndGC(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 150; i++ {
 			lpa := int64(rng.Intn(25))
-			err := f.Write(lpa, nil, 128, StreamID(rng.Intn(2)))
+			err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 128, Stream: StreamID(rng.Intn(2))})
 			if err != nil && !errors.Is(err, ErrNoSpace) {
 				t.Fatal(err)
 			}

@@ -10,18 +10,6 @@ import (
 	"sos/internal/storage"
 )
 
-// gcReadScratch is reclaimBatched's reusable state: the victim's live
-// pages, their chip-pool destination buffers, and the read run that
-// fills them. Kept separate from the ReadBatch scratch because GC can
-// run (via escalation-driven relocation) while a previous ReadBatch's
-// returned payloads are still live in their retained buffers.
-type gcReadScratch struct {
-	lpas  []int64
-	sizes []int
-	bufs  [][]byte
-	ops   []flash.ReadOp
-}
-
 // runGC reclaims stale capacity. Fully-dead blocks (no live pages) are
 // erased first — they need no relocation destination, so they are
 // always reclaimable even with an empty free pool. Then one live victim
@@ -260,11 +248,8 @@ func (f *FTL) isActive(b int) bool {
 // plane-lock acquisition before the relocations replay in page order;
 // otherwise every page goes through the serial read-then-move path.
 func (f *FTL) reclaim(victim int) error {
-	rr, runs := f.chip.(storage.RunReader)
-	rp, pools := f.chip.(storage.RunProgrammer)
-	pf, planed := f.chip.(storage.PlanedFlash)
-	if runs && pools && planed {
-		return f.reclaimBatched(victim, pf, rr, rp)
+	if f.runs != nil {
+		return f.reclaimBatched(victim)
 	}
 	st := &f.blocks[victim]
 	base := victim * f.ppb
@@ -280,71 +265,35 @@ func (f *FTL) reclaim(victim int) error {
 	return f.eraseAndFree(victim)
 }
 
-// reclaimBatched is reclaim's batched read path: one chip-pool buffer
-// take, one read run in page order (identical plane RNG draws to
-// per-page reads), then the relocations in the same order, each
-// consuming its pre-read result. Scratch is separate from ReadBatch's
-// (gcr), because GC can run while a ReadBatch's returned payloads are
-// still live in their retained buffers.
-func (f *FTL) reclaimBatched(victim int, pf storage.PlanedFlash, rr storage.RunReader, rp storage.RunProgrammer) error {
+// reclaimBatched is reclaim's batched read path (datapath.Victims): one
+// read run in page order (identical plane RNG draws to per-page reads),
+// then the relocations in the same order, each consuming its pre-read
+// result.
+func (f *FTL) reclaimBatched(victim int) error {
 	st := &f.blocks[victim]
 	base := victim * f.ppb
 	g := &f.gcr
-	g.lpas = g.lpas[:0]
-	g.ops = g.ops[:0]
-	g.sizes = g.sizes[:0]
+	g.Reset()
 	for page := 0; page < st.fullPages; page++ {
 		lpa := f.p2l[base+page]
 		if lpa < 0 {
 			continue
 		}
 		m := f.l2p[lpa]
-		pol := &f.streams[m.stream]
-		padded := m.dataLen
-		if _, isHamming := pol.Scheme.(ecc.HammingScheme); isHamming {
-			padded = (m.dataLen + 7) &^ 7
-		}
-		g.lpas = append(g.lpas, lpa)
-		g.sizes = append(g.sizes, pol.Scheme.Overhead(padded))
-		g.ops = append(g.ops, flash.ReadOp{Block: victim, Page: page})
+		g.Add(lpa, victim, page, ecc.StoredLen(f.streams[m.stream].Scheme, m.dataLen))
 	}
-	if len(g.lpas) == 0 {
+	if len(g.LPAs) == 0 {
 		return f.eraseAndFree(victim)
 	}
-	n := len(g.lpas)
-	if cap(g.bufs) < n {
-		g.bufs = make([][]byte, n)
-	}
-	plane := pf.PlaneOf(victim)
-	rp.TakeProgramBufs(plane, g.sizes[:n], g.bufs[:n])
-	for k := range g.ops {
-		g.ops[k].Dst = g.bufs[k]
-	}
-	rr.ReadRunInto(g.ops)
-	// Mirror readForRelocate's bounded retry of transient read faults:
-	// unreachable on the bare chip (it never returns ErrReadFault), but a
-	// run-capable fault interposer injects them per op.
-	for k := range g.ops {
-		op := &g.ops[k]
-		for attempt := 1; op.Err != nil && errors.Is(op.Err, flash.ErrReadFault) && attempt < relocReadAttempts; attempt++ {
-			f.relocRetries++
-			op.Res, op.Err = f.chip.Read(op.Block, op.Page)
-		}
-	}
+	g.Read(f.runs, relocReadAttempts, &f.relocRetries)
 	var firstErr error
-	for k := 0; k < n; k++ {
-		lpa := g.lpas[k]
-		if err := f.relocateFrom(lpa, f.l2p[lpa].stream, g.ops[k].Res, g.ops[k].Err); err != nil {
+	for k, lpa := range g.LPAs {
+		if err := f.relocateFrom(lpa, f.l2p[lpa].stream, g.Ops[k].Res, g.Ops[k].Err); err != nil {
 			firstErr = err
 			break
 		}
 	}
-	rp.ReturnProgramBufs(plane, g.bufs[:n])
-	for k := 0; k < n; k++ {
-		g.bufs[k] = nil
-		g.ops[k].Dst = nil
-		g.ops[k].Res = flash.ReadResult{}
-	}
+	g.Release(f.runs)
 	if firstErr != nil {
 		return firstErr
 	}
@@ -424,7 +373,7 @@ func (f *FTL) relocateFrom(lpa int64, dst StreamID, raw flash.ReadResult, err er
 		if derr != nil {
 			f.degradedReads++
 		}
-		stored, err = encodeFor(pol.Scheme, data)
+		stored, err = ecc.EncodeStored(pol.Scheme, nil, data)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"sos/internal/storage"
 	"testing"
 
 	"sos/internal/ecc"
@@ -41,7 +42,7 @@ func skewedChurn(t *testing.T, f *FTL, writes int) float64 {
 	rng := sim.NewRNG(23)
 	// 80 live LPAs; 80% of updates hit 10 of them.
 	for lpa := int64(0); lpa < 80; lpa++ {
-		if err := f.Write(lpa, nil, 128, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 128}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,7 +53,7 @@ func skewedChurn(t *testing.T, f *FTL, writes int) float64 {
 		} else {
 			lpa = 10 + rng.Int63n(70)
 		}
-		if err := f.Write(lpa, nil, 128, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 128}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 	}

@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"errors"
+	"sos/internal/storage"
 	"testing"
 
 	"sos/internal/ecc"
@@ -58,17 +59,17 @@ func TestRebuildRecoversMappings(t *testing.T) {
 	// A mix of streams, overwrites, trims, and accounting pages.
 	for lpa := int64(0); lpa < 30; lpa++ {
 		stream := StreamID(lpa % 2)
-		if err := before.Write(lpa, payload(lpa), 0, stream); err != nil {
+		if err := before.Write(storage.BatchOp{LPA: lpa, Data: payload(lpa), Stream: stream}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for lpa := int64(0); lpa < 10; lpa++ { // overwrite: old copies go stale
-		if err := before.Write(lpa, payload(lpa+100), 0, 0); err != nil {
+		if err := before.Write(storage.BatchOp{LPA: lpa, Data: payload(lpa + 100)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for lpa := int64(40); lpa < 45; lpa++ { // accounting pages
-		if err := before.Write(lpa, nil, 256, 1); err != nil {
+		if err := before.Write(storage.BatchOp{LPA: lpa, DataLen: 256, Stream: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,7 +128,7 @@ func TestRebuildThenWrite(t *testing.T) {
 	_, mk := rebuildChip(t)
 	before := mk()
 	for lpa := int64(0); lpa < 20; lpa++ {
-		if err := before.Write(lpa, nil, 200, StreamID(lpa%2)); err != nil {
+		if err := before.Write(storage.BatchOp{LPA: lpa, DataLen: 200, Stream: StreamID(lpa % 2)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestRebuildThenWrite(t *testing.T) {
 	}
 	// Continue writing: serials must not collide, GC must work.
 	for i := 0; i < 800; i++ {
-		if err := after.Write(int64(i%25), nil, 200, StreamID(i%2)); err != nil {
+		if err := after.Write(storage.BatchOp{LPA: int64(i % 25), DataLen: 200, Stream: StreamID(i % 2)}); err != nil {
 			if errors.Is(err, ErrNoSpace) {
 				break
 			}
@@ -164,7 +165,7 @@ func TestRebuildThenWrite(t *testing.T) {
 func TestRebuildRequiresFreshFTL(t *testing.T) {
 	_, mk := rebuildChip(t)
 	f := mk()
-	if err := f.Write(1, nil, 100, 0); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 1, DataLen: 100}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Rebuild(); err == nil {
@@ -185,7 +186,7 @@ func TestRebuildEmptyChip(t *testing.T) {
 		t.Fatalf("free blocks %d", f.Stats().FreeBlocks)
 	}
 	// Fully usable afterwards.
-	if err := f.Write(1, []byte("post-rebuild"), 0, 0); err != nil {
+	if err := f.Write(storage.BatchOp{LPA: 1, Data: []byte("post-rebuild")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -232,7 +233,7 @@ func TestRebuildEquivalenceProperty(t *testing.T) {
 			case 0, 1, 2:
 				stream := StreamID(rng.Intn(2))
 				n := 64 + rng.Intn(400)
-				err := live.Write(lpa, nil, n, stream)
+				err := live.Write(storage.BatchOp{LPA: lpa, DataLen: n, Stream: stream})
 				if errors.Is(err, ErrNoSpace) {
 					continue
 				}
@@ -278,7 +279,7 @@ func TestRebuildPreservesWear(t *testing.T) {
 	before := mk()
 	// Churn to accumulate wear.
 	for i := 0; i < 3000; i++ {
-		if err := before.Write(int64(i%15), nil, 200, 1); err != nil {
+		if err := before.Write(storage.BatchOp{LPA: int64(i % 15), DataLen: 200, Stream: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,7 +360,7 @@ func TestRebuildCrashMidGC(t *testing.T) {
 	lo, hi := int64(-1), int64(-1)
 	for _, s := range script {
 		before := inj.Ops()
-		if err := f.Write(s.lpa, pay(s.lpa, s.ver), 0, StreamID(s.lpa%2)); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: s.lpa, Data: pay(s.lpa, s.ver), Stream: StreamID(s.lpa % 2)}); err != nil {
 			t.Fatal(err)
 		}
 		if f.Stats().GCRuns > 0 {
@@ -379,7 +380,7 @@ func TestRebuildCrashMidGC(t *testing.T) {
 			halted := false
 			for _, s := range script {
 				pending[s.lpa] = s.ver
-				err := f.Write(s.lpa, pay(s.lpa, s.ver), 0, StreamID(s.lpa%2))
+				err := f.Write(storage.BatchOp{LPA: s.lpa, Data: pay(s.lpa, s.ver), Stream: StreamID(s.lpa % 2)})
 				if err != nil {
 					if !errors.Is(err, fault.ErrPowerCut) {
 						t.Fatalf("cut %d torn=%v: unexpected error %v", cut, torn, err)
@@ -421,7 +422,7 @@ func TestRebuildCrashMidGC(t *testing.T) {
 					t.Fatalf("cut %d torn=%v: lpa %d has wrong content after recovery", cut, torn, lpa)
 				}
 			}
-			if err := f2.Write(0, pay(0, 999), 0, 0); err != nil {
+			if err := f2.Write(storage.BatchOp{LPA: 0, Data: pay(0, 999)}); err != nil {
 				t.Fatalf("recovered FTL rejects writes: %v", err)
 			}
 		}
@@ -471,7 +472,7 @@ func TestRebuildCrashMidResuscitation(t *testing.T) {
 	lo, hi := int64(-1), int64(-1)
 	for i := 0; i < maxWrites; i++ {
 		before := inj.Ops()
-		if err := f.Write(int64(i%lpas), nil, 200, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: int64(i % lpas), DataLen: 200}); err != nil {
 			t.Fatal(err)
 		}
 		if f.Stats().Resuscitated > 0 {
@@ -488,7 +489,7 @@ func TestRebuildCrashMidResuscitation(t *testing.T) {
 		acked := map[int64]bool{}
 		halted := false
 		for i := 0; i < maxWrites && !halted; i++ {
-			err := f.Write(int64(i%lpas), nil, 200, 0)
+			err := f.Write(storage.BatchOp{LPA: int64(i % lpas), DataLen: 200})
 			if err != nil {
 				if !errors.Is(err, fault.ErrPowerCut) {
 					t.Fatalf("cut %d: unexpected error %v", cut, err)
@@ -537,7 +538,7 @@ func TestRebuildCrashMidResuscitation(t *testing.T) {
 		if pecAfter != pecAtCrash {
 			t.Fatalf("cut %d: rebuild changed wear %d -> %d", cut, pecAtCrash, pecAfter)
 		}
-		if err := f2.Write(0, nil, 200, 0); err != nil {
+		if err := f2.Write(storage.BatchOp{LPA: 0, DataLen: 200}); err != nil {
 			t.Fatalf("cut %d: recovered FTL rejects writes: %v", cut, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"sos/internal/storage"
 	"testing"
 
 	"sos/internal/ecc"
@@ -39,13 +40,13 @@ func hotColdChurn(t *testing.T, f *FTL, churn int) {
 	t.Helper()
 	// Cold data: fills half the device and is never rewritten.
 	for lpa := int64(0); lpa < 56; lpa++ {
-		if err := f.Write(lpa, nil, 128, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: lpa, DataLen: 128}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Hot churn over a small set.
 	for i := 0; i < churn; i++ {
-		if err := f.Write(1000+int64(i%8), nil, 128, 0); err != nil {
+		if err := f.Write(storage.BatchOp{LPA: 1000 + int64(i%8), DataLen: 128}); err != nil {
 			t.Fatalf("churn %d: %v", i, err)
 		}
 	}

@@ -79,8 +79,8 @@ type Flash interface {
 	Stats() flash.Stats
 }
 
-// The real chip must always satisfy the backend contract.
-var _ Flash = (*flash.Chip)(nil)
+// The real chip must always satisfy the backend contract, runs included.
+var _ RunFlash = (*flash.Chip)(nil)
 
 // StreamID names a stream. Streams are dense small integers.
 type StreamID int
@@ -242,13 +242,51 @@ type Backend interface {
 	UsablePages() int
 	// MappedPages returns the number of live logical pages.
 	MappedPages() int
-	// Write stores data (length <= LogicalPageSize) at lpa under the
-	// given stream. A nil data with dataLen > 0 performs an
-	// accounting-only write (no payload stored; error counts still
-	// modelled).
-	Write(lpa int64, data []byte, dataLen int, id StreamID) error
+	// Write stores op.Data (length <= LogicalPageSize) at op.LPA under
+	// op.Stream. A nil Data with DataLen > 0 performs an accounting-only
+	// write (no payload stored; error counts still modelled). The op's
+	// digest and lifetime hint are recorded in the page's OOB tag and
+	// mapping (see Digest and Hint); Seq and Queue are ignored.
+	Write(op BatchOp) error
 	// Read fetches lpa, decoding through the stream's ECC scheme.
 	Read(lpa int64) (ReadResult, error)
+	// WriteBatch stores every op — semantically Write op-by-op in Seq
+	// order — and records ops[i]'s fate in fates[i]. queues is the
+	// number of submission queues the ops were dealt across; workers
+	// bounds the goroutines of the parallel phases (<=1 runs everything
+	// on the caller's goroutine). Neither may change the resulting
+	// state, only wall-clock time.
+	WriteBatch(ops []BatchOp, fates []BatchFate, queues, workers int)
+	// ReadBatch is the read-side mirror of WriteBatch: semantically Read
+	// op-by-op in Seq order, with mappings, telemetry, and the plane RNG
+	// streams landing exactly where serial reads would leave them.
+	// Returned payloads alias chip-owned buffers that stay valid until
+	// the backend's next batched or per-op read; callers that retain
+	// them longer must copy.
+	ReadBatch(ops []BatchReadOp, fates []BatchReadFate, queues, workers int)
+	// Digest returns the host-computed payload digest recorded for a
+	// mapped lpa (false when the page carries none: accounting-only
+	// writes, or pages written without a digest).
+	//
+	// The contract that makes digests an integrity oracle: relocation
+	// and rebuild carry the digest through verbatim, never recomputing
+	// it from the medium. A digest therefore always describes the bytes
+	// the host originally wrote; a clean read whose payload hashes
+	// differently is a silent corruption (in this model: degraded data
+	// crystallized by a GC/scrub relocation re-encoding it under fresh
+	// ECC).
+	Digest(lpa int64) (uint64, bool)
+	// Hint returns the lifetime bin recorded for a mapped lpa (false
+	// when unmapped). Hinted writes route to the allocator's
+	// per-(stream, bin) active block or zone.
+	//
+	// The contract that keeps crash rebuild exact under dead-data-aware
+	// GC: the hint is persisted in OOB at program time and carried
+	// verbatim through relocation, so any GC decision derived from hints
+	// (victim deferral, bin-aware relocation targets) is a pure function
+	// of OOB-persisted state — a rebuilt backend sees the same hints and
+	// reaches the same decisions.
+	Hint(lpa int64) (LifetimeHint, bool)
 	// Trim drops the mapping for lpa (host discard / file delete).
 	Trim(lpa int64) error
 	// Contains reports whether lpa is mapped.
@@ -287,25 +325,6 @@ type Backend interface {
 	// CheckInvariants verifies the backend's internal consistency
 	// contract (exported for the crash-torture harness).
 	CheckInvariants() error
-}
-
-// DigestStore is the optional Backend extension for end-to-end
-// integrity digests (internal/audit). WriteDigested behaves exactly
-// like Write but additionally records the host-computed digest of the
-// payload in the page's OOB tag, so it survives power loss through the
-// same rebuild path as the mapping itself. Digest returns the recorded
-// digest for a mapped lpa (false when the page carries none —
-// accounting-only writes, or pages written before digests existed).
-//
-// The contract that makes digests an integrity oracle: relocation and
-// rebuild carry the digest through verbatim, never recomputing it from
-// the medium. A digest therefore always describes the bytes the host
-// originally wrote; a clean read whose payload hashes differently is a
-// silent corruption (in this model: degraded data crystallized by a
-// GC/scrub relocation re-encoding it under fresh ECC).
-type DigestStore interface {
-	WriteDigested(lpa int64, data []byte, dataLen int, id StreamID, digest uint64) error
-	Digest(lpa int64) (uint64, bool)
 }
 
 // Kind names a backend implementation.

@@ -48,10 +48,8 @@ import (
 // variant must additionally satisfy the batched medium gate so backends
 // take their batched read/GC paths under fault injection.
 var (
-	_ storage.Flash         = (*fault.Injector)(nil)
-	_ storage.PlanedFlash   = (*fault.RunInjector)(nil)
-	_ storage.RunReader     = (*fault.RunInjector)(nil)
-	_ storage.RunProgrammer = (*fault.RunInjector)(nil)
+	_ storage.Flash    = (*fault.Injector)(nil)
+	_ storage.RunFlash = (*fault.RunInjector)(nil)
 )
 
 // Config parameterizes a torture run. The zero value is invalid; use
@@ -381,8 +379,6 @@ const maxBatchOps = 8
 // instead of Write returns, exercising the batched acknowledgement
 // contract under power loss.
 func replay(f storage.Backend, inj *fault.Injector, clock *sim.Clock, steps []step, queues, workers, readWorkers int, hints bool) (map[int64]*rec, bool) {
-	hs, hasHS := f.(storage.HintedStore)
-	hints = hints && hasHS
 	recs := map[int64]*rec{}
 	at := func(s step) *rec {
 		r, ok := recs[s.lpa]
@@ -393,10 +389,8 @@ func replay(f storage.Backend, inj *fault.Injector, clock *sim.Clock, steps []st
 		return r
 	}
 
-	bw, hasBW := f.(storage.BatchWriter)
-	batched := queues > 1 && hasBW
-	br, hasBR := f.(storage.BatchReader)
-	batchedReads := readWorkers > 1 && hasBR
+	batched := queues > 1
+	batchedReads := readWorkers > 1
 	rq := queues
 	if rq < 1 {
 		rq = 1
@@ -425,7 +419,7 @@ func replay(f storage.Backend, inj *fault.Injector, clock *sim.Clock, steps []st
 		for i := range fates {
 			fates[i] = storage.BatchReadFate{}
 		}
-		br.ReadBatch(rops, fates, rq, readWorkers)
+		f.ReadBatch(rops, fates, rq, readWorkers)
 		rops = rops[:0]
 		for i := range fates {
 			err := fates[i].Err
@@ -450,7 +444,7 @@ func replay(f storage.Backend, inj *fault.Injector, clock *sim.Clock, steps []st
 			bops[i].Queue = sim.DealQueue(i, len(bops), queues)
 		}
 		fates := make([]storage.BatchFate, len(bops))
-		bw.WriteBatch(bops, fates, queues, workers)
+		f.WriteBatch(bops, fates, queues, workers)
 		for i := range bops {
 			s := bsteps[i]
 			r := at(s)
@@ -545,17 +539,10 @@ func replay(f storage.Backend, inj *fault.Injector, clock *sim.Clock, steps []st
 			r := at(s)
 			r.pendSeq, r.pendLen = s.seq, s.dataLen
 			data := pat(s.lpa, s.seq, s.dataLen)
-			switch {
-			case hints:
+			if hints {
 				r.pendHint = stepHint(s)
-				err = hs.WriteHinted(s.lpa, data, 0, s.stream, storage.DigestOf(data), true, r.pendHint)
-			default:
-				if ds, ok := f.(storage.DigestStore); ok {
-					err = ds.WriteDigested(s.lpa, data, 0, s.stream, storage.DigestOf(data))
-				} else {
-					err = f.Write(s.lpa, data, 0, s.stream)
-				}
 			}
+			err = f.Write(storage.BatchOp{LPA: s.lpa, Data: data, Stream: s.stream, Digest: storage.DigestOf(data), HasDigest: true, Hint: r.pendHint})
 			if err == nil {
 				r.stream, r.acct = s.stream, false
 				r.ackedSeq, r.pendSeq = s.seq, -1
@@ -568,10 +555,8 @@ func replay(f storage.Backend, inj *fault.Injector, clock *sim.Clock, steps []st
 			r.pendSeq = s.seq
 			if hints {
 				r.pendHint = stepHint(s)
-				err = hs.WriteHinted(s.lpa, nil, s.dataLen, s.stream, 0, false, r.pendHint)
-			} else {
-				err = f.Write(s.lpa, nil, s.dataLen, s.stream)
 			}
+			err = f.Write(storage.BatchOp{LPA: s.lpa, DataLen: s.dataLen, Stream: s.stream, Hint: r.pendHint})
 			if err == nil {
 				r.stream, r.acct = s.stream, true
 				r.ackedSeq, r.pendSeq = s.seq, -1
@@ -621,9 +606,6 @@ func replay(f storage.Backend, inj *fault.Injector, clock *sim.Clock, steps []st
 
 // verify checks the recovery contract for every acked LPA.
 func verify(t *trialResult, f storage.Backend, recs map[int64]*rec, hints bool) {
-	ds, hasDS := f.(storage.DigestStore)
-	hs, hasHS := f.(storage.HintedStore)
-	hints = hints && hasHS
 	lpas := make([]int64, 0, len(recs))
 	for lpa := range recs {
 		lpas = append(lpas, lpa)
@@ -679,14 +661,11 @@ func verify(t *trialResult, f storage.Backend, recs map[int64]*rec, hints bool) 
 			// (relocation carries hints verbatim; hint and page share a
 			// program op, so they land or tear together).
 			t.hints++
-			if got, has := hs.Hint(lpa); !has || got != wantHint {
+			if got, has := f.Hint(lpa); !has || got != wantHint {
 				t.hintBad++
 				t.fail("lpa %d (%v): rebuilt hint %v (present=%v) != %v of surviving generation",
 					lpa, r.stream, got, has, wantHint)
 			}
-		}
-		if !hasDS {
-			continue
 		}
 		// Digest-store crash consistency: the rebuilt OOB digest must
 		// hash-match the clean content the read just returned — whether
@@ -695,7 +674,7 @@ func verify(t *trialResult, f storage.Backend, recs map[int64]*rec, hints bool) 
 		// A missing or disagreeing digest here would make the integrity
 		// auditor flag healthy data as silently corrupt.
 		t.digests++
-		if got, has := ds.Digest(lpa); !has || got != storage.DigestOf(res.Data) {
+		if got, has := f.Digest(lpa); !has || got != storage.DigestOf(res.Data) {
 			t.digestBad++
 			t.fail("lpa %d (%v): rebuilt digest inconsistent with clean content (present=%v, acked seq %d, pending %d)",
 				lpa, r.stream, has, r.ackedSeq, r.pendSeq)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"sos/internal/datapath"
 	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/obs"
@@ -22,6 +23,7 @@ import (
 type Backend struct {
 	dev     *Device
 	chip    storage.Flash
+	runs    storage.RunFlash // chip's run surface; nil = serial paths only
 	streams []storage.StreamPolicy
 	attrs   []Attr // zone attribute per stream
 	obs     *obs.Recorder
@@ -75,23 +77,10 @@ type Backend struct {
 
 	// bs is WriteBatch's reusable scratch (see batch.go).
 	bs batchScratch
-	// rs is ReadBatch's reusable scratch (see readbatch.go).
-	rs readScratch
+	// rs is the shared batched-read engine's scratch (see ReadBatch).
+	rs datapath.Reads
 	// gcr is the batched GC victim-read scratch (see reclaimBatched).
-	gcr gcReadScratch
-}
-
-// gcReadScratch is reclaimBatched's reusable state: the victim zone's
-// live pages, their chip-pool destination buffers, and the read runs
-// that fill them. Kept separate from the ReadBatch scratch because GC
-// can run (via escalation-driven relocation) while a previous
-// ReadBatch's returned payloads are still live in their retained
-// buffers.
-type gcReadScratch struct {
-	lpas  []int64
-	sizes []int
-	bufs  [][]byte
-	ops   []flash.ReadOp
+	gcr datapath.Victims
 }
 
 // zmapping is the host-side L2P entry.
@@ -102,7 +91,7 @@ type zmapping struct {
 	// baseFlips carries degradation crystallized across relocations of
 	// accounting-only pages, exactly as in the device-side FTL.
 	baseFlips int
-	// digest mirrors the page's OOB tag digest (storage.DigestStore);
+	// digest mirrors the page's OOB tag digest (storage.Backend.Digest);
 	// relocation copies it verbatim, so it always hashes the original
 	// host payload.
 	digest    uint64
@@ -234,6 +223,7 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 		reserve:   reserve,
 		logicalSz: cfg.Chip.Geometry().PageSize,
 	}
+	b.runs, _ = cfg.Chip.(storage.RunFlash)
 	for i := range b.p2l {
 		b.p2l[i] = -1
 	}
@@ -244,12 +234,6 @@ func NewBackend(cfg BackendConfig) (*Backend, error) {
 }
 
 var _ storage.Backend = (*Backend)(nil)
-
-// The zoned backend records host digests in OOB tags and mappings.
-var _ storage.DigestStore = (*Backend)(nil)
-
-// The zoned backend routes hinted writes to per-(stream, bin) zones.
-var _ storage.HintedStore = (*Backend)(nil)
 
 // aidx maps a (stream, lifetime-bin) pair to its active-zone slot.
 // aidx(0, HintNone) == 0, so unhinted single-stream state lands exactly
@@ -411,27 +395,16 @@ func (b *Backend) relocZone(id storage.StreamID, h storage.LifetimeHint) (int, e
 	return z, nil
 }
 
-// Write stores data (length <= LogicalPageSize) at lpa under the given
-// stream. A nil data with dataLen > 0 performs an accounting-only write.
-func (b *Backend) Write(lpa int64, data []byte, dataLen int, id storage.StreamID) error {
-	return b.writeTagged(lpa, data, dataLen, id, 0, false, storage.HintNone)
-}
-
-// WriteDigested is Write plus a host-computed payload digest recorded
-// in the page's OOB tag and mapping (storage.DigestStore).
-func (b *Backend) WriteDigested(lpa int64, data []byte, dataLen int, id storage.StreamID, digest uint64) error {
-	return b.writeTagged(lpa, data, dataLen, id, digest, true, storage.HintNone)
-}
-
-// WriteHinted is WriteDigested plus a lifetime bin routing the page to
-// the (stream, bin)'s open zone and persisted in OOB
-// (storage.HintedStore).
-func (b *Backend) WriteHinted(lpa int64, data []byte, dataLen int, id storage.StreamID, digest uint64, hasDigest bool, hint storage.LifetimeHint) error {
-	return b.writeTagged(lpa, data, dataLen, id, digest, hasDigest, hint)
+// Write implements storage.Backend: it stores op.Data (or an
+// accounting-only op.DataLen) at op.LPA under op.Stream, recording the
+// op's digest and lifetime hint in the page's OOB tag and mapping. A
+// hinted op routes to the (stream, bin)'s open zone.
+func (b *Backend) Write(op storage.BatchOp) error {
+	return b.writeTagged(op.LPA, op.Data, op.DataLen, op.Stream, op.Digest, op.HasDigest, op.Hint)
 }
 
 // Hint returns the recorded lifetime bin for a mapped lpa
-// (storage.HintedStore).
+// (storage.Backend).
 func (b *Backend) Hint(lpa int64) (storage.LifetimeHint, bool) {
 	m, ok := b.lookup(lpa)
 	if !ok {
@@ -441,7 +414,7 @@ func (b *Backend) Hint(lpa int64) (storage.LifetimeHint, bool) {
 }
 
 // Digest returns the recorded payload digest for a mapped lpa
-// (storage.DigestStore).
+// (storage.Backend).
 func (b *Backend) Digest(lpa int64) (uint64, bool) {
 	m, ok := b.lookup(lpa)
 	if !ok || !m.hasDigest {
@@ -837,11 +810,8 @@ func (b *Backend) pickVictim(id storage.StreamID) int {
 // contiguous segment — before the relocations replay in append order;
 // otherwise every page goes through the serial read-then-move path.
 func (b *Backend) reclaim(z int) error {
-	rr, runs := b.chip.(storage.RunReader)
-	rp, pools := b.chip.(storage.RunProgrammer)
-	pf, planed := b.chip.(storage.PlanedFlash)
-	if runs && pools && planed {
-		return b.reclaimBatched(z, pf, rr, rp)
+	if b.runs != nil {
+		return b.reclaimBatched(z)
 	}
 	zn := &b.dev.zones[z]
 	base := z * b.zcap
@@ -857,17 +827,15 @@ func (b *Backend) reclaim(z int) error {
 	return b.resetZone(z)
 }
 
-// reclaimBatched is reclaim's batched read path: chip-pool buffer takes
-// and one read run per block segment (in append order, so plane RNG
-// draws match per-page reads exactly), then the relocations in append
-// order, each consuming its pre-read result.
-func (b *Backend) reclaimBatched(z int, pf storage.PlanedFlash, rr storage.RunReader, rp storage.RunProgrammer) error {
+// reclaimBatched is reclaim's batched read path (datapath.Victims): one
+// read run per block segment, in append order, so plane RNG draws match
+// per-page reads exactly, then the relocations in append order, each
+// consuming its pre-read result.
+func (b *Backend) reclaimBatched(z int) error {
 	zn := &b.dev.zones[z]
 	base := z * b.zcap
 	g := &b.gcr
-	g.lpas = g.lpas[:0]
-	g.sizes = g.sizes[:0]
-	g.ops = g.ops[:0]
+	g.Reset()
 	for idx := 0; idx < zn.wp; idx++ {
 		lpa := b.p2l[base+idx]
 		if lpa < 0 {
@@ -878,66 +846,21 @@ func (b *Backend) reclaimBatched(z int, pf storage.PlanedFlash, rr storage.RunRe
 			return err
 		}
 		m := b.l2p[lpa]
-		pol := &b.streams[m.stream]
-		padded := m.dataLen
-		if _, isHamming := pol.Scheme.(ecc.HammingScheme); isHamming {
-			padded = (m.dataLen + 7) &^ 7
-		}
-		g.lpas = append(g.lpas, lpa)
-		g.sizes = append(g.sizes, pol.Scheme.Overhead(padded))
-		g.ops = append(g.ops, flash.ReadOp{Block: blk, Page: page})
+		g.Add(lpa, blk, page, ecc.StoredLen(b.streams[m.stream].Scheme, m.dataLen))
 	}
-	if len(g.lpas) == 0 {
+	if len(g.LPAs) == 0 {
 		return b.resetZone(z)
 	}
-	n := len(g.lpas)
-	if cap(g.bufs) < n {
-		g.bufs = make([][]byte, n)
-	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && g.ops[hi].Block == g.ops[lo].Block {
-			hi++
-		}
-		plane := pf.PlaneOf(g.ops[lo].Block)
-		rp.TakeProgramBufs(plane, g.sizes[lo:hi], g.bufs[lo:hi])
-		for k := lo; k < hi; k++ {
-			g.ops[k].Dst = g.bufs[k]
-		}
-		rr.ReadRunInto(g.ops[lo:hi])
-		lo = hi
-	}
-	// Mirror relocate's bounded retry of transient read faults:
-	// unreachable on the bare chip (it never returns ErrReadFault), but a
-	// run-capable fault interposer injects them per op.
-	for k := range g.ops {
-		op := &g.ops[k]
-		for attempt := 1; op.Err != nil && errors.Is(op.Err, flash.ErrReadFault) && attempt < relocReadAttempts; attempt++ {
-			b.relocRetries++
-			op.Res, op.Err = b.chip.Read(op.Block, op.Page)
-		}
-	}
+	g.Read(b.runs, relocReadAttempts, &b.relocRetries)
 	var firstErr error
-	for k := 0; k < n; k++ {
-		lpa := g.lpas[k]
-		if err := b.relocateFrom(lpa, b.l2p[lpa].stream, g.ops[k].Block, g.ops[k].Page, g.ops[k].Res, g.ops[k].Err); err != nil {
+	for k, lpa := range g.LPAs {
+		op := &g.Ops[k]
+		if err := b.relocateFrom(lpa, b.l2p[lpa].stream, op.Block, op.Page, op.Res, op.Err); err != nil {
 			firstErr = err
 			break
 		}
 	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && g.ops[hi].Block == g.ops[lo].Block {
-			hi++
-		}
-		rp.ReturnProgramBufs(pf.PlaneOf(g.ops[lo].Block), g.bufs[lo:hi])
-		lo = hi
-	}
-	for k := 0; k < n; k++ {
-		g.bufs[k] = nil
-		g.ops[k].Dst = nil
-		g.ops[k].Res = flash.ReadResult{}
-	}
+	g.Release(b.runs)
 	if firstErr != nil {
 		return firstErr
 	}
@@ -1235,3 +1158,45 @@ func (b *Backend) HintedWrites() int64 { return b.hintedWrites }
 func (b *Backend) DeadSkipStats() (defers, pages int64) {
 	return b.deadSkipDefers, b.deadSkipPages
 }
+
+// ReadBatch implements storage.Backend on the shared batched read
+// engine (internal/datapath). Zone reads — unlike appends — have no
+// shared cursor, so the batch fans out across planes exactly like the
+// device-side FTL's: a zone's blocks are consecutive chip blocks
+// striped across planes.
+func (b *Backend) ReadBatch(ops []storage.BatchReadOp, fates []storage.BatchReadFate, queues, workers int) {
+	b.rs.Run(b.runs, (*resolver)(b), ops, fates, queues, workers)
+}
+
+// resolver is the zoned backend's datapath.Resolver: the batched read
+// engine's view of the L2P table, zone layout, schemes, and read
+// telemetry.
+type resolver Backend
+
+func (r *resolver) Resolve(lpa int64) (datapath.Loc, error) {
+	m, ok := (*Backend)(r).lookup(lpa)
+	if !ok {
+		return datapath.Loc{}, storage.ErrUnknownLPA
+	}
+	blk, page, err := r.dev.locate(&r.dev.zones[m.zone], m.idx)
+	if err != nil {
+		return datapath.Loc{}, err
+	}
+	return datapath.Loc{Block: blk, Page: page, Stream: m.stream, DataLen: m.dataLen, BaseFlips: m.baseFlips}, nil
+}
+
+func (r *resolver) Scheme(id storage.StreamID) ecc.Scheme { return r.streams[id].Scheme }
+
+func (r *resolver) ReadError(lpa int64, loc *datapath.Loc, err error) error {
+	m, _ := (*Backend)(r).lookup(lpa)
+	return fmt.Errorf("zns: read zone %d idx %d: %w", m.zone, m.idx, err)
+}
+
+func (r *resolver) Settled(lpa int64, loc *datapath.Loc, degraded bool) {
+	r.obs.Record(obs.Event{Kind: obs.EvRead, LBA: lpa, Block: loc.Block, Page: loc.Page, Stream: int(loc.Stream), Aux: int64(loc.DataLen)})
+	if degraded {
+		r.degradedReads++
+	}
+}
+
+func (r *resolver) Read(lpa int64) (storage.ReadResult, error) { return (*Backend)(r).Read(lpa) }

@@ -83,10 +83,10 @@ func TestBackendRoundtrip(t *testing.T) {
 		t.Fatalf("name %q", b.Name())
 	}
 	payload := bytes.Repeat([]byte{0xab}, 400)
-	if err := b.Write(1, payload, 0, 0); err != nil {
+	if err := b.Write(storage.BatchOp{LPA: 1, Data: payload}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Write(2, nil, 300, 1); err != nil {
+	if err := b.Write(storage.BatchOp{LPA: 2, DataLen: 300, Stream: 1}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := b.Read(1)
@@ -113,13 +113,13 @@ func TestBackendRoundtrip(t *testing.T) {
 	if _, err := b.Read(99); !errors.Is(err, storage.ErrUnknownLPA) {
 		t.Fatalf("unknown read: %v", err)
 	}
-	if err := b.Write(3, nil, 0, 0); !errors.Is(err, storage.ErrPayloadSize) {
+	if err := b.Write(storage.BatchOp{LPA: 3}); !errors.Is(err, storage.ErrPayloadSize) {
 		t.Fatalf("zero-length write: %v", err)
 	}
-	if err := b.Write(3, nil, 513, 0); !errors.Is(err, storage.ErrPayloadSize) {
+	if err := b.Write(storage.BatchOp{LPA: 3, DataLen: 513}); !errors.Is(err, storage.ErrPayloadSize) {
 		t.Fatalf("oversize write: %v", err)
 	}
-	if err := b.Write(3, payload, 0, 7); !errors.Is(err, storage.ErrUnknownStream) {
+	if err := b.Write(storage.BatchOp{LPA: 3, Data: payload, Stream: 7}); !errors.Is(err, storage.ErrUnknownStream) {
 		t.Fatalf("unknown stream: %v", err)
 	}
 	// Trim.
@@ -148,7 +148,7 @@ func TestBackendGC(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		lpa := int64(i % 7)
 		p := bytes.Repeat([]byte{byte(i)}, 64)
-		if err := b.Write(lpa, p, 0, 1); err != nil {
+		if err := b.Write(storage.BatchOp{LPA: lpa, Data: p, Stream: 1}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		want[lpa] = p
@@ -180,7 +180,7 @@ func TestBackendQuarantineOfflinesZone(t *testing.T) {
 	b, _ := testBackend(t, 16, 2)
 	payload := bytes.Repeat([]byte{0x44}, 64)
 	for i := int64(0); i < 6; i++ {
-		if err := b.Write(i, payload, 0, 1); err != nil {
+		if err := b.Write(storage.BatchOp{LPA: i, Data: payload, Stream: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,7 +237,7 @@ func TestBackendRecover(t *testing.T) {
 		lpa := int64(i % 11)
 		st := storage.StreamID(i % 2)
 		p := bytes.Repeat([]byte{byte(i + 1)}, 128)
-		if err := b.Write(lpa, p, 0, st); err != nil {
+		if err := b.Write(storage.BatchOp{LPA: lpa, Data: p, Stream: st}); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
 		want[lpa] = p
@@ -272,7 +272,7 @@ func TestBackendRecover(t *testing.T) {
 		}
 	}
 	// Recovery must keep accepting writes without serial collisions.
-	if err := nb.Write(50, bytes.Repeat([]byte{9}, 32), 0, 0); err != nil {
+	if err := nb.Write(storage.BatchOp{LPA: 50, Data: bytes.Repeat([]byte{9}, 32)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := nb.CheckInvariants(); err != nil {
@@ -284,7 +284,7 @@ func TestBackendRecover(t *testing.T) {
 // remount: the retired-block marker is durable.
 func TestBackendRecoverAfterOffline(t *testing.T) {
 	b, _ := testBackend(t, 16, 2)
-	if err := b.Write(1, bytes.Repeat([]byte{1}, 64), 0, 1); err != nil {
+	if err := b.Write(storage.BatchOp{LPA: 1, Data: bytes.Repeat([]byte{1}, 64), Stream: 1}); err != nil {
 		t.Fatal(err)
 	}
 	m, _ := b.lookup(1)
@@ -314,7 +314,7 @@ func TestBackendRecoverAfterOffline(t *testing.T) {
 // TestInvariantsCatchCorruption sanity-checks the checker itself.
 func TestInvariantsCatchCorruption(t *testing.T) {
 	b, _ := testBackend(t, 16, 2)
-	if err := b.Write(1, bytes.Repeat([]byte{1}, 64), 0, 0); err != nil {
+	if err := b.Write(storage.BatchOp{LPA: 1, Data: bytes.Repeat([]byte{1}, 64)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.CheckInvariants(); err != nil {

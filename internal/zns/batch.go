@@ -1,8 +1,7 @@
 package zns
 
 import (
-	"sync"
-
+	"sos/internal/datapath"
 	"sos/internal/ecc"
 	"sos/internal/flash"
 	"sos/internal/storage"
@@ -14,7 +13,7 @@ import (
 // per queue) and then replays the appends in one canonical pass that is
 // operation-for-operation identical to calling Write in Seq order.
 // Unlike the device-side FTL there is no plane fan-out to guard, so the
-// path needs no PlanedFlash gate: encode is a pure function of the
+// path needs no RunFlash gate: encode is a pure function of the
 // bytes, and the chip sees the same serial op sequence as the unbatched
 // path at every queue and worker count.
 
@@ -32,12 +31,15 @@ type batchScratch struct {
 	stored [][]byte // per-op encoded payload (aliases arenas)
 	arenas [][]byte // per-queue encode arenas
 	qsize  []int
-	wg     sync.WaitGroup
+	fan    datapath.Fan
+
+	// The batch in flight, for the fanned-out encode.
+	ops    []storage.BatchOp
+	fates  []storage.BatchFate
+	queues int
 }
 
-var _ storage.BatchWriter = (*Backend)(nil)
-
-// WriteBatch implements storage.BatchWriter. fates[i] records the
+// WriteBatch implements storage.Backend. fates[i] records the
 // outcome of ops[i]; queues is the submission-queue count the ops were
 // dealt across and workers bounds goroutine use. Results are identical
 // for every (queues, workers) pair.
@@ -46,12 +48,7 @@ func (b *Backend) WriteBatch(ops []storage.BatchOp, fates []storage.BatchFate, q
 	if len(ops) == 0 {
 		return
 	}
-	if queues < 1 {
-		queues = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	queues = max(queues, 1)
 	b.ensureBatchScratch(len(ops), queues)
 
 	b.encodeBatch(ops, fates, queues, workers)
@@ -149,12 +146,7 @@ func (b *Backend) encodeBatch(ops []storage.BatchOp, fates []storage.BatchFate, 
 			enc[i] = encSlot{n: 0}
 			continue
 		}
-		sch := b.dev.pol[b.attrs[op.Stream]].Scheme
-		padded := dataLen
-		if _, isHamming := sch.(ecc.HammingScheme); isHamming {
-			padded = (dataLen + 7) &^ 7
-		}
-		n := sch.Overhead(padded)
+		n := ecc.StoredLen(b.dev.pol[b.attrs[op.Stream]].Scheme, dataLen)
 		q := op.Queue
 		if q < 0 || q >= queues {
 			q = 0
@@ -167,39 +159,26 @@ func (b *Backend) encodeBatch(ops []storage.BatchOp, fates []storage.BatchFate, 
 			bs.arenas[q] = make([]byte, qsize[q])
 		}
 	}
-	if workers > 1 && queues > 1 {
-		for q := 1; q < queues; q++ {
-			bs.wg.Add(1)
-			b.encodeQueueAsync(ops, fates, q, queues)
-		}
-		b.encodeQueue(ops, fates, 0, queues)
-		bs.wg.Wait()
-		return
-	}
-	for q := 0; q < queues; q++ {
-		b.encodeQueue(ops, fates, q, queues)
-	}
+	bs.ops, bs.fates, bs.queues = ops, fates, queues
+	bs.fan.Run((*queueEncodes)(b), queues, workers)
+	bs.ops, bs.fates = nil, nil
 }
 
-// encodeQueueAsync runs encodeQueue on its own goroutine; a method call
-// rather than a closure so the spawn allocates no capture environment.
-func (b *Backend) encodeQueueAsync(ops []storage.BatchOp, fates []storage.BatchFate, q, queues int) {
-	go func() {
-		defer b.bs.wg.Done()
-		b.encodeQueue(ops, fates, q, queues)
-	}()
-}
+// queueEncodes fans the encode phase out: Do(q) encodes queue q.
+type queueEncodes Backend
+
+func (t *queueEncodes) Do(q int) { (*Backend)(t).encodeQueue(q) }
 
 // encodeQueue encodes every payload op of queue q into the queue's
 // arena. Each op writes only its own arena span, its own stored slot,
 // and its own fate, so queues share nothing.
-func (b *Backend) encodeQueue(ops []storage.BatchOp, fates []storage.BatchFate, q, queues int) {
+func (b *Backend) encodeQueue(q int) {
 	bs := &b.bs
 	arena := bs.arenas[q]
-	for i := range ops {
-		op := &ops[i]
+	for i := range bs.ops {
+		op := &bs.ops[i]
 		oq := op.Queue
-		if oq < 0 || oq >= queues {
+		if oq < 0 || oq >= bs.queues {
 			oq = 0
 		}
 		if oq != q || bs.enc[i].n <= 0 {
@@ -207,26 +186,12 @@ func (b *Backend) encodeQueue(ops []storage.BatchOp, fates []storage.BatchFate, 
 		}
 		dst := arena[bs.enc[i].off : bs.enc[i].off+bs.enc[i].n]
 		sch := b.dev.pol[b.attrs[op.Stream]].Scheme
-		n, err := encodeZoneInto(sch, dst, op.Data)
+		stored, err := ecc.EncodeStored(sch, dst, op.Data)
 		if err != nil {
-			fates[i].Err = err
+			bs.fates[i].Err = err
 			bs.enc[i].n = -1
 			continue
 		}
-		bs.stored[i] = dst[:n]
+		bs.stored[i] = stored
 	}
-}
-
-// encodeZoneInto encodes into dst via the scheme's IntoEncoder when it
-// has one, falling back to the allocating path (Hamming's 8-byte
-// padding, any future scheme without in-place support).
-func encodeZoneInto(s ecc.Scheme, dst, data []byte) (int, error) {
-	if enc, ok := s.(ecc.IntoEncoder); ok {
-		return enc.EncodeInto(dst, data)
-	}
-	out, err := s.Encode(pad8For(s, data))
-	if err != nil {
-		return 0, err
-	}
-	return copy(dst, out), nil
 }

@@ -69,7 +69,7 @@ func TestZNSWriteBatchMatchesSerial(t *testing.T) {
 	serial, _ := testBackend(t, 24, 2)
 	serialErrs := make([]error, len(ops))
 	for i := range ops {
-		serialErrs[i] = serial.Write(ops[i].LPA, ops[i].Data, ops[i].DataLen, ops[i].Stream)
+		serialErrs[i] = serial.Write(storage.BatchOp{LPA: ops[i].LPA, Data: ops[i].Data, DataLen: ops[i].DataLen, Stream: ops[i].Stream})
 	}
 	want := znsDigest(t, serial, lpaSpace)
 
@@ -174,12 +174,12 @@ func TestReadBatchZeroAlloc(t *testing.T) {
 	}
 	payload := make([]byte, 256)
 	for lpa := int64(0); lpa < 24; lpa++ {
-		if err := b.Write(lpa, payload, 0, 0); err != nil {
+		if err := b.Write(storage.BatchOp{LPA: lpa, Data: payload}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for lpa := int64(100); lpa < 124; lpa++ {
-		if err := b.Write(lpa, payload, 0, 1); err != nil {
+		if err := b.Write(storage.BatchOp{LPA: lpa, Data: payload, Stream: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

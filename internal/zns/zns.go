@@ -310,7 +310,7 @@ func (d *Device) appendPage(z int, data []byte, dataLen int, tag *flash.PageTag)
 	var stored []byte
 	storedLen := pol.Scheme.Overhead(dataLen)
 	if data != nil {
-		stored, err = pol.Scheme.Encode(pad8For(pol.Scheme, data))
+		stored, err = ecc.EncodeStored(pol.Scheme, nil, data)
 		if err != nil {
 			return 0, err
 		}
@@ -513,14 +513,4 @@ type Stats struct {
 // Stats returns cumulative counts.
 func (d *Device) Stats() Stats {
 	return Stats{Appends: d.appends, Resets: d.resets, OfflineZones: d.offline}
-}
-
-// pad8For pads data for schemes needing 8-byte alignment.
-func pad8For(s ecc.Scheme, data []byte) []byte {
-	if _, isHamming := s.(ecc.HammingScheme); isHamming && len(data)%8 != 0 {
-		padded := make([]byte, (len(data)+7)&^7)
-		copy(padded, data)
-		return padded
-	}
-	return data
 }

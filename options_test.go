@@ -187,7 +187,7 @@ func TestParserNameSetsAgree(t *testing.T) {
 }
 
 // TestParsePlacementRoundTrip mirrors TestParseBackendRoundTrip for the
-// -placement name set shared by sossim and carbonreport.
+// -placement name set of sossim and the public API.
 func TestParsePlacementRoundTrip(t *testing.T) {
 	for _, p := range sos.Placements() {
 		text, err := p.MarshalText()
